@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet ci docscheck bench-smoke bench results benchdiff benchgate benchgate-smoke fuse-bench serve-smoke serve-bench trace-smoke span-bench cluster-smoke cluster-bench
+.PHONY: build test race vet ci docscheck perf-smoke bench-smoke bench results benchdiff benchgate benchgate-smoke fuse-bench serve-smoke serve-bench trace-smoke span-bench cluster-smoke cluster-bench
 
 build:
 	$(GO) build ./...
@@ -31,6 +31,20 @@ ci:
 	$(MAKE) span-bench
 	$(MAKE) benchgate-smoke
 	$(MAKE) benchgate
+	$(MAKE) perf-smoke
+
+# The repo benchmark (bench/, BENCHMARK.json) is its own Go module, so
+# nothing above compiles it: vet it, run its tests, and run every
+# workload once in smoke mode, each op still checked against ir.Interp.
+# About 25 s cold, 1 s warm; writes only under the git-ignored
+# .bench_build/. TestSmokeEveryWorkload is skipped until a benchmark PR
+# lets mem.resident_pages read 0: it requires the two pages per closed
+# instance that rt.Instance.Close used to leak (run.sh -smoke below
+# still runs every workload, and fails on a failed op).
+perf-smoke:
+	$(GO) vet -C bench ./...
+	$(GO) test -C bench -skip '^TestSmokeEveryWorkload$$' ./...
+	bash bench/run.sh -smoke -trace 0
 
 # Documentation gate: package comments present, ARCHITECTURE.md linked
 # and complete, documented flags/ids exist, documented commands run in

@@ -14,6 +14,14 @@
 // telemetry registry is the export surface instead: accessors expose
 // the counts as read-only views, and PublishTo folds them into
 // registry counters at run boundaries.
+//
+// A Hierarchy is reusable: Reset returns it to the state NewHierarchy
+// builds, in time proportional to the sets the previous owner wrote
+// rather than to the 256 KiB of L2 tags. Each Cache keeps a dirty list
+// of the sets that hold a line; it is appended to only on the miss path
+// (accessRest, when the set's front way is still empty — the first
+// insertion since the set was last clean), so the front-way hit checks
+// that dominate the emulator's memory path never see it.
 package cache
 
 import "repro/internal/telemetry"
@@ -132,6 +140,12 @@ type Cache struct {
 	ways     int
 	tags     []uint64 // sets*ways entries in recency order; 0 = invalid (line+1 stored)
 
+	// dirty lists the base index of every set that holds a line. Valid
+	// lines form a prefix of their set (empties sink to the back), so a
+	// set is non-empty exactly when its front way is, and Flush need
+	// zero only these.
+	dirty []int32
+
 	hits   uint64
 	misses uint64
 
@@ -176,6 +190,11 @@ func (c *Cache) Access(addr uint64) int {
 }
 
 func (c *Cache) accessRest(base int, tag, addr uint64) int {
+	if c.tags[base] == 0 {
+		// An empty front way means an empty set: this miss is its first
+		// insertion since it was last clean.
+		c.dirty = append(c.dirty, int32(base))
+	}
 	if lruAccess(c.tags[base:base+c.ways], tag) {
 		c.hits++
 		return 0
@@ -187,11 +206,13 @@ func (c *Cache) accessRest(base int, tag, addr uint64) int {
 	return 1
 }
 
-// Flush invalidates every line at this level and below.
+// Flush invalidates every line at this level and below, in time
+// proportional to the number of sets that hold one.
 func (c *Cache) Flush() {
-	for i := range c.tags {
-		c.tags[i] = 0
+	for _, base := range c.dirty {
+		clear(c.tags[int(base) : int(base)+c.ways])
 	}
+	c.dirty = c.dirty[:0]
 	if c.Next != nil {
 		c.Next.Flush()
 	}
@@ -284,6 +305,16 @@ func (h *Hierarchy) Flush() {
 	h.lastLine, h.prevLine, h.prevOK = 0, 0, false
 	h.DTLB.Flush()
 	h.L1D.Flush()
+}
+
+// Reset returns the hierarchy to the state NewHierarchy builds — empty
+// structures, zero counters, no memo — so a recycled machine's cache
+// behaviour is indistinguishable from a fresh one's. The cost is the
+// dTLB's 512 bytes plus the cache sets the previous run wrote.
+func (h *Hierarchy) Reset() {
+	h.Flush()
+	h.DTLB.ResetStats()
+	h.L1D.ResetStats()
 }
 
 // AccessL1 charges one access against the cache hierarchy only (no

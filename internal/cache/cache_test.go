@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/telemetry"
@@ -193,5 +194,121 @@ func TestHierarchyMemoEquivalence(t *testing.T) {
 		if l2.Hits() != rl2.Hits() || l2.Misses() != rl2.Misses() {
 			t.Fatalf("access %d (%#x): L2 counters diverge", i, a)
 		}
+	}
+}
+
+// sameAsNew reports how h differs from what NewHierarchy builds, field
+// by field (a dirty list emptied in place counts as empty).
+func sameAsNew(t *testing.T, what string, h *Hierarchy) {
+	t.Helper()
+	fresh := NewHierarchy()
+	if h.lastLine != 0 || h.prevLine != 0 || h.prevOK || h.memoShift != fresh.memoShift {
+		t.Errorf("%s: memo = %d/%d/%v shift %d", what, h.lastLine, h.prevLine, h.prevOK, h.memoShift)
+	}
+	ht, ft := h.DTLB, fresh.DTLB
+	if ht.sets != ft.sets || ht.ways != ft.ways || ht.pageBits != ft.pageBits ||
+		ht.hits != 0 || ht.misses != 0 || ht.flushes != 0 {
+		t.Errorf("%s: dTLB geometry or counters differ: %+v", what, *ht)
+	}
+	for i, tag := range ht.tags {
+		if tag != 0 {
+			t.Fatalf("%s: dTLB tag %d = %#x", what, i, tag)
+		}
+	}
+	for c, f := h.L1D, fresh.L1D; ; c, f = c.Next, f.Next {
+		if (c == nil) != (f == nil) {
+			t.Fatalf("%s: cache chains differ in length", what)
+		}
+		if c == nil {
+			break
+		}
+		if c.Name != f.Name || c.lineBits != f.lineBits || c.sets != f.sets || c.ways != f.ways ||
+			len(c.tags) != len(f.tags) || c.hits != 0 || c.misses != 0 || len(c.dirty) != 0 {
+			t.Errorf("%s: %s differs: hits %d misses %d dirty %d", what, c.Name, c.hits, c.misses, len(c.dirty))
+		}
+		for i, tag := range c.tags {
+			if tag != 0 {
+				t.Fatalf("%s: %s tag %d = %#x survives", what, c.Name, i, tag)
+			}
+		}
+	}
+}
+
+// TestHierarchyResetEqualsNew: whatever the previous owner did — wrote
+// every L2 set, flushed mid-run, took the L1-only path — Reset leaves
+// the hierarchy equal to a new one, and it then behaves like one.
+func TestHierarchyResetEqualsNew(t *testing.T) {
+	everySet := func(h *Hierarchy) {
+		// Three lines into each L2 set (and so into every L1 set and
+		// dTLB set many times over), then some hits.
+		l2 := h.L1D.Next
+		for rep := uint64(0); rep < 3; rep++ {
+			for s := uint64(0); s < l2.sets; s++ {
+				h.Access((rep*l2.sets + s) << l2.lineBits)
+			}
+		}
+		h.Access(0)
+		h.Access(8)
+		if got := uint64(len(l2.dirty)); got != l2.sets {
+			t.Fatalf("L2 dirty list holds %d sets after writing all %d", got, l2.sets)
+		}
+	}
+	cases := []struct {
+		name string
+		run  func(h *Hierarchy)
+	}{
+		{"every L2 set", everySet},
+		{"after Flush", func(h *Hierarchy) {
+			everySet(h)
+			h.Flush()
+			if n := len(h.L1D.dirty) + len(h.L1D.Next.dirty); n != 0 {
+				t.Fatalf("Flush left %d dirty sets listed", n)
+			}
+			h.Access(0x1000) // one set dirtied again, listed once
+			h.Access(0x1000 + 1<<30)
+			if len(h.L1D.dirty) != 1 {
+				t.Fatalf("a set refilled after Flush is listed %d times", len(h.L1D.dirty))
+			}
+		}},
+		{"after AccessL1", func(h *Hierarchy) {
+			h.Access(0x2000)
+			h.AccessL1(0x2000)
+			h.AccessL1(0x9000)
+			h.Access(0x2040)
+		}},
+	}
+	trace := func(h *Hierarchy) (out []int) {
+		for i := uint64(0); i < 4096; i++ {
+			hit, lv := h.Access(i * 200 % (1 << 16))
+			out = append(out, lv)
+			if hit {
+				out = append(out, -1)
+			}
+		}
+		return out
+	}
+	want := trace(NewHierarchy())
+	for _, c := range cases {
+		h := NewHierarchy()
+		c.run(h)
+		h.Reset()
+		sameAsNew(t, c.name, h)
+		if got := trace(h); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: accesses after Reset behave differently from a new hierarchy's", c.name)
+		}
+	}
+}
+
+// BenchmarkHierarchyReset is what releasing a machine pays after a
+// short run: a few dozen lines touched, then Reset.
+func BenchmarkHierarchyReset(b *testing.B) {
+	h := NewHierarchy()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for a := uint64(0); a < 32; a++ {
+			h.Access(0x7f0000 + a*64)
+			h.Access(0x10000 + a*4096)
+		}
+		h.Reset()
 	}
 }

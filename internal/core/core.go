@@ -112,6 +112,12 @@ type HostCall = rt.HostCall
 // Sandbox is one running instance.
 type Sandbox struct {
 	inst *rt.Instance
+
+	// final and finalNs are the machine counters as Close found them:
+	// Close hands the machine back for reuse, and Stats and
+	// SimulatedNanos keep answering afterwards.
+	final   cpu.Stats
+	finalNs float64
 }
 
 // Instantiate creates a standalone sandbox (own simulated address
@@ -133,11 +139,19 @@ func (sb *Sandbox) Call(name string, args ...uint64) ([]uint64, error) {
 }
 
 // Stats returns the accumulated machine counters.
-func (sb *Sandbox) Stats() cpu.Stats { return sb.inst.Mach.Stats }
+func (sb *Sandbox) Stats() cpu.Stats {
+	if m := sb.inst.Mach; m != nil {
+		return m.Stats
+	}
+	return sb.final
+}
 
 // SimulatedNanos returns the simulated wall-clock time consumed so far.
 func (sb *Sandbox) SimulatedNanos() float64 {
-	return sb.inst.Mach.Stats.Nanos(&sb.inst.Mach.Cost)
+	if m := sb.inst.Mach; m != nil {
+		return m.Stats.Nanos(&m.Cost)
+	}
+	return sb.finalNs
 }
 
 // MemRead copies linear-memory contents (for inspecting results).
@@ -152,8 +166,13 @@ func (sb *Sandbox) MemWrite(addr uint32, data []byte) error {
 	return hc.MemWrite(addr, data)
 }
 
-// Close releases the sandbox's pool slot back to its backend, if any.
+// Close releases the sandbox's machine and, for a pooled sandbox, its
+// slot back to the backend. Call and the memory accessors must not be
+// used afterwards; the counters stay readable.
 func (sb *Sandbox) Close() error {
+	if m := sb.inst.Mach; m != nil {
+		sb.final, sb.finalNs = m.Stats, m.Stats.Nanos(&m.Cost)
+	}
 	return sb.inst.Close()
 }
 

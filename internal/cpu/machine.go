@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/cache"
@@ -102,7 +103,8 @@ type frame struct {
 }
 
 // Machine is a resumable emulator for one hardware thread. The zero
-// value is not usable; construct with NewMachine.
+// value is not usable; construct with NewMachine, and hand it back with
+// Release when its owner is done with it.
 type Machine struct {
 	AS   *mem.AS
 	Hier *cache.Hierarchy
@@ -159,10 +161,11 @@ type Machine struct {
 	// Per-instruction base costs (fetch + opcode class) for the
 	// predecoded program, precomputed so the fast path's hot loop
 	// replaces a float division and two table lookups per step with one
-	// slice read. Rebuilt when Cost changes.
-	dcost    [][]float64
-	dcostFor CostModel
-	dcostOK  bool
+	// slice read. Valid for one (Program, CostModel) pair — dcostProg is
+	// nil until the first build — and rebuilt when either changes.
+	dcost     [][]float64
+	dcostFor  CostModel
+	dcostProg *Program
 
 	// mtc is the fast path's access-grant cache: per-page protection,
 	// pkey, and backing-page pointer, validated against the address
@@ -194,18 +197,81 @@ func (e *mtcEntry) refreshPerms(pkru uint32) {
 	e.writeOK = e.prot&mem.ProtWrite != 0 && mem.PkeyAllowed(pkru, e.pkey, true)
 }
 
+// machinePool holds released machines. What makes a machine expensive
+// to build — 256 KiB of L2 tags, the predictor table, the per-opcode and
+// per-instruction cost tables — is exactly what survives Release, so a
+// process that churns instances builds a machine per concurrent
+// instance, not one per instantiation. sync.Pool keeps the list
+// race-free across the server's worker goroutines and lets the
+// collector take idle machines back.
+var machinePool sync.Pool
+
+// Machine turnover (cpu.machines.fresh / cpu.machines.reused): how many
+// NewMachine calls built a machine and how many recycled a released
+// one. Counted per construction, behind telemetry.Enabled.
+var (
+	ctrMachinesFresh  = telemetry.Default.Counter("cpu.machines.fresh")
+	ctrMachinesReused = telemetry.Default.Counter("cpu.machines.reused")
+)
+
 // NewMachine returns a machine bound to the given address space and
-// program, with the default cost model and memory hierarchy.
+// program, with the default cost model and memory hierarchy. It may be
+// a released machine; Release leaves nothing of the previous owner
+// observable, so the two cases are indistinguishable to the caller.
 func NewMachine(as *mem.AS, prog *Program) *Machine {
-	return &Machine{
-		AS:           as,
-		Hier:         cache.NewHierarchy(),
-		Cost:         DefaultCostModel(),
-		Prog:         prog,
-		Hosts:        prog.Hosts,
-		Tier:         DefaultTier(),
-		MaxCallDepth: 10000,
-		bpred:        make([]uint8, 1<<14),
+	m, reused := machinePool.Get().(*Machine)
+	if !reused {
+		m = &Machine{Hier: cache.NewHierarchy(), bpred: make([]uint8, 1<<14)}
+	}
+	if telemetry.Enabled() {
+		if reused {
+			ctrMachinesReused.Inc()
+		} else {
+			ctrMachinesFresh.Inc()
+		}
+	}
+	return m.bind(as, prog)
+}
+
+// bind gives a blank machine — just built, or scrubbed — its owner.
+func (m *Machine) bind(as *mem.AS, prog *Program) *Machine {
+	m.AS = as
+	m.Cost = DefaultCostModel()
+	m.Prog = prog
+	m.Hosts = prog.Hosts
+	m.Tier = DefaultTier()
+	m.MaxCallDepth = 10000
+	return m
+}
+
+// Release returns the machine to the free list NewMachine draws from.
+// The machine is dead to the caller afterwards: read Stats, registers
+// and Hier counters first, and drop every pointer to it.
+func (m *Machine) Release() {
+	m.scrub()
+	machinePool.Put(m)
+}
+
+// scrub removes everything an owner could have left behind:
+// architectural state, Stats, cache and predictor contents, the profile
+// counts, the references to its address space, program and host table,
+// and the access-grant cache, whose entries point into that address
+// space's pages. The struct is rebuilt from a literal so that a field
+// added later is cleared unless listed here. What is listed is the
+// storage worth keeping (hierarchy, predictor table, frame stack) and
+// state that is a pure function of its key and revalidated on use: the
+// opcode cost table (keyed by CostModel) and the per-instruction cost
+// table (keyed by Program and CostModel).
+func (m *Machine) scrub() {
+	m.Hier.Reset()
+	clear(m.bpred)
+	*m = Machine{
+		Hier:   m.Hier,
+		bpred:  m.bpred,
+		frames: m.frames[:0],
+
+		costTab: m.costTab, costTabFor: m.costTabFor, costTabOK: m.costTabOK,
+		dcost: m.dcost, dcostFor: m.dcostFor, dcostProg: m.dcostProg,
 	}
 }
 
@@ -230,7 +296,7 @@ func (m *Machine) opCosts() *[opCostTabSize]float64 {
 // expression runSlow evaluates per step, so accumulating the
 // precomputed sum is bit-identical to computing it inline.
 func (m *Machine) instCosts(dec []decFunc) [][]float64 {
-	if m.dcostOK && m.dcostFor == m.Cost && len(m.dcost) == len(dec) {
+	if m.dcostProg == m.Prog && m.dcostFor == m.Cost {
 		return m.dcost
 	}
 	costs := m.opCosts()
@@ -243,7 +309,7 @@ func (m *Machine) instCosts(dec []decFunc) [][]float64 {
 		}
 		out[fi] = cs
 	}
-	m.dcost, m.dcostFor, m.dcostOK = out, m.Cost, true
+	m.dcost, m.dcostFor, m.dcostProg = out, m.Cost, m.Prog
 	return out
 }
 

@@ -55,7 +55,9 @@ func TakeSimCycles() float64 { return math.Float64frombits(simCycleBits.Swap(0))
 // arguments, on a fresh instance. Compiled modules come from the
 // rt compile cache (kernel names are unique across suites), so repeated
 // measurements of one (kernel, config) cell skip recompilation;
-// instances and machines are always fresh, keeping cells independent.
+// instances are always fresh and their machines indistinguishable from
+// new ones (closing the instance hands the machine to the next cell),
+// keeping cells independent.
 func MeasureKernel(k workloads.Kernel, cfg sfi.Config, args []uint64) (Measurement, error) {
 	native := cfg.Mode == sfi.ModeNative
 	variant := native && k.PtrSensitive
@@ -69,6 +71,7 @@ func MeasureKernel(k workloads.Kernel, cfg sfi.Config, args []uint64) (Measureme
 	if err != nil {
 		return Measurement{}, err
 	}
+	defer inst.Close() // after every read of inst.Mach below
 	res, err := inst.Invoke(k.Entry, args...)
 	if err != nil {
 		return Measurement{}, fmt.Errorf("exp: %s/%v: %w", k.Name, cfg.Mode, err)

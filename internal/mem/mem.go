@@ -9,6 +9,11 @@
 // Page backing is allocated lazily, so reserving terabytes of address
 // space (as pooling allocators do) costs almost nothing until pages are
 // touched — exactly the property the paper's guard regions rely on.
+// Releasing is as lazy: munmap and madvise walk the smaller of the
+// range and the resident set, and the buffers they drop are handed out
+// again — zeroed at hand-out, so one tenant's bytes never reach the
+// next — which keeps an address space whose instances churn from
+// allocating page buffers at all.
 package mem
 
 import (
@@ -121,6 +126,12 @@ type AS struct {
 	// pages are released.
 	lastPN   uint64
 	lastPage *[PageSize]byte
+
+	// freePages holds the buffers of dropped pages (at most
+	// maxFreePages) for newPage to hand out again, so an address space
+	// whose instances come and go allocates no page buffers in steady
+	// state. A buffer here still holds its previous owner's bytes.
+	freePages []*[PageSize]byte
 
 	// gen counts mapping mutations (mmap, munmap, mprotect, madvise).
 	// External caches of per-page permissions or backing pages — the
@@ -367,12 +378,50 @@ func mergeable(l, r VMA) bool {
 	return l.End == r.Start && l.Prot == r.Prot && l.Pkey == r.Pkey
 }
 
-// dropPages releases backing pages in [start, end).
+// maxFreePages bounds AS.freePages: 64 buffers (256 KiB) cover the
+// pages a FaaS-sized instance touches between two recycles.
+const maxFreePages = 64
+
+// dropPages releases backing pages in [start, end), walking whichever
+// is smaller: the page numbers of the range or the resident pages. A
+// terabyte reservation with three pages touched costs three deletes.
 func (a *AS) dropPages(start, end uint64) {
-	for p := start / PageSize; p < (end+PageSize-1)/PageSize; p++ {
-		delete(a.pages, p)
+	first, last := start/PageSize, (end+PageSize-1)/PageSize
+	if last-first > uint64(len(a.pages)) {
+		for pn, pg := range a.pages {
+			if pn >= first && pn < last {
+				a.dropPage(pn, pg)
+			}
+		}
+	} else {
+		for pn := first; pn < last; pn++ {
+			if pg := a.pages[pn]; pg != nil {
+				a.dropPage(pn, pg)
+			}
+		}
 	}
 	a.lastPage = nil
+}
+
+func (a *AS) dropPage(pn uint64, pg *[PageSize]byte) {
+	delete(a.pages, pn)
+	if len(a.freePages) < maxFreePages {
+		a.freePages = append(a.freePages, pg)
+	}
+}
+
+// newPage returns a zeroed page buffer, a dropped one when there is
+// one. Zeroing happens here, at hand-out, and nowhere else: whatever a
+// previous owner wrote is gone before the buffer is reachable again.
+func (a *AS) newPage() *[PageSize]byte {
+	n := len(a.freePages)
+	if n == 0 {
+		return new([PageSize]byte)
+	}
+	pg := a.freePages[n-1]
+	a.freePages = a.freePages[:n-1]
+	*pg = [PageSize]byte{}
+	return pg
 }
 
 // MadviseDontneed zeroes [addr, addr+length) by discarding backing
@@ -477,15 +526,25 @@ func (a *AS) CheckAccess(addr uint64, size int, write bool, pkru uint32) error {
 
 // page returns the backing page for the page containing addr,
 // allocating when alloc is set. A nil return means an untouched
-// (all-zero) page.
+// (all-zero) page. The body is only the repeat-page check, so it
+// inlines into Load, Store and PageFor; the page-map lookup and the
+// allocation live in pageRest.
 func (a *AS) page(addr uint64, alloc bool) *[PageSize]byte {
-	pn := addr / PageSize
-	if a.lastPage != nil && a.lastPN == pn {
+	if a.lastPage != nil && a.lastPN == addr/PageSize {
 		return a.lastPage
 	}
+	return a.pageRest(addr, alloc)
+}
+
+// pageRest is page's slow half. Inlined, it would take page over the
+// inliner's budget and put a call on every Load and Store.
+//
+//go:noinline
+func (a *AS) pageRest(addr uint64, alloc bool) *[PageSize]byte {
+	pn := addr / PageSize
 	pg := a.pages[pn]
 	if pg == nil && alloc {
-		pg = new([PageSize]byte)
+		pg = a.newPage()
 		a.pages[pn] = pg
 	}
 	if pg != nil {

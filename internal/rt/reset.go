@@ -51,7 +51,11 @@ func (inst *Instance) initMemory() {
 // Mechanically that is MADV_DONTNEED over the linear memory, machine
 // stack, and context block (zero-on-next-touch, so an idle warm
 // instance also drops its dirty pages — the density lever), a replay of
-// the module's initial state, and a fresh machine. VMA protections and
+// the module's initial state, and a recycled machine: the old one is
+// released and cpu.NewMachine hands back one indistinguishable from
+// new (on the same goroutine, normally the very same one, its cost
+// tables for this program still valid). The host bindings close over
+// the instance, not the machine, so they carry over. VMA protections and
 // MPK colors are properties of the mappings, not the pages, so they
 // survive untouched; MTE granule tags live in the owning slab, which
 // Reset deliberately never touches (no teardown/re-tag charge — that
@@ -76,8 +80,10 @@ func (inst *Instance) Reset() error {
 		return err
 	}
 	inst.initMemory()
+	hosts := inst.Mach.Hosts
+	inst.Mach.Release()
 	inst.Mach = cpu.NewMachine(inst.AS, inst.Mod.Prog)
-	inst.bindHosts()
+	inst.Mach.Hosts = hosts
 	inst.Transitions = 0
 	inst.transInCycles = 0
 	inst.transOutCycles = 0

@@ -380,17 +380,36 @@ func (inst *Instance) TransitionNs() (inNs, outNs float64) {
 	return c.CyclesToNanos(inst.transInCycles), c.CyclesToNanos(inst.transOutCycles)
 }
 
-// Close tears the instance down. Pooled instances recycle their slot
-// back to the owning backend (charging the backend's teardown cost);
-// standalone instances own their whole address space, which simply
-// becomes unreachable. Close is idempotent.
+// Close tears the instance down and is idempotent. Its machine goes
+// back to cpu's free list (Mach is nil afterwards: read Mach.Stats and
+// TransitionNs before closing, never after). A pooled instance also
+// unmaps its machine stack and context block — they live in the slab's
+// address space, outside the slot, so nothing else would ever release
+// them — and then recycles the slot to the owning backend, charging the
+// backend's teardown cost. The slot is recycled even when an unmap
+// fails; the first error is returned. A standalone instance owns its
+// whole address space, which becomes unreachable with it.
 func (inst *Instance) Close() error {
+	if inst.Mach != nil {
+		inst.Mach.Release()
+		inst.Mach = nil
+	}
 	b := inst.place.Backend
 	if b == nil {
 		return nil
 	}
 	inst.place.Backend = nil
-	return b.Recycle(inst.place.Slot)
+	err := inst.AS.Munmap(inst.stackBase, inst.StackTop-inst.stackBase)
+	if err != nil {
+		err = fmt.Errorf("rt: unmapping stack: %w", err)
+	}
+	if cerr := inst.AS.Munmap(inst.CtxBase, inst.ctxBytes); cerr != nil && err == nil {
+		err = fmt.Errorf("rt: unmapping context: %w", cerr)
+	}
+	if rerr := b.Recycle(inst.place.Slot); rerr != nil && err == nil {
+		err = rerr
+	}
+	return err
 }
 
 // ErrNoExport is returned by Invoke for unknown export names.
@@ -416,19 +435,21 @@ func (inst *Instance) Invoke(name string, args ...uint64) ([]uint64, error) {
 	m.Regs[x86.RSP] = inst.StackTop
 	inst.transitionIn()
 
-	// Place arguments per the internal ABI.
+	// Place arguments per the internal ABI. The compiler rejects more
+	// parameters than there are argument registers, so the integer ones
+	// fit a fixed array and Invoke allocates nothing for them.
+	var intArgs [len(cpu.ArgRegs)]uint64
 	ipos, fpos := 0, 0
-	var intArgs []uint64
 	for i, p := range sig.Params {
 		if p == ir.F64 {
 			m.XmmLo[fpos] = args[i]
 			fpos++
 		} else {
-			intArgs = append(intArgs, args[i])
-			_ = ipos
+			intArgs[ipos] = args[i]
+			ipos++
 		}
 	}
-	m.Start(fnIdx, intArgs...)
+	m.Start(fnIdx, intArgs[:ipos]...)
 	err = m.Run()
 	inst.transitionOut()
 	if err != nil {

@@ -414,3 +414,38 @@ func TestFusedSharedAcrossShards(t *testing.T) {
 		t.Fatalf("fused stream built %d times across shards, want 1", n)
 	}
 }
+
+// TestMetricsShowMachineTurnover: configured as faasd configures it —
+// the process registry, telemetry on — /metrics carries the emulator's
+// machine turnover. One cold start takes a machine (whether new or
+// recycled is up to what other tests released before this one); the
+// warm requests that follow each reset their instance, which releases
+// the machine and takes one back.
+func TestMetricsShowMachineTurnover(t *testing.T) {
+	defer telemetry.SetEnabled(telemetry.Enabled())
+	telemetry.SetEnabled(true)
+	s, err := New(Config{Shards: 1, WorkersPerShard: 1, WarmPerWorker: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	before := snapshot(t, ts.URL)
+	const requests = 8
+	for i := 0; i < requests; i++ {
+		if code, body := get(t, ts.URL+"/invoke/regex-filtering?backend=colorguard&n=4"); code != http.StatusOK {
+			t.Fatalf("request %d: status %d (%v)", i, code, body)
+		}
+	}
+	after := snapshot(t, ts.URL)
+	fresh := after.Counters["cpu.machines.fresh"] - before.Counters["cpu.machines.fresh"]
+	reused := after.Counters["cpu.machines.reused"] - before.Counters["cpu.machines.reused"]
+	if fresh+reused != requests {
+		t.Errorf("cpu.machines.fresh +%d, .reused +%d over %d requests (1 cold start, %d resets)", fresh, reused, requests, requests-1)
+	}
+	if reused == 0 {
+		t.Errorf("cpu.machines.reused did not move over %d warm resets", requests-1)
+	}
+}

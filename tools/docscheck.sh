@@ -33,6 +33,8 @@ for dir in internal/*/; do
     grep -q "internal/$pkg" ARCHITECTURE.md || err "ARCHITECTURE.md does not mention internal/$pkg"
 done
 
+grep -q '^## Instance lifecycle and reuse$' ARCHITECTURE.md || err "ARCHITECTURE.md lacks the \"Instance lifecycle and reuse\" section"
+
 # --- 3. advertised ids and flags exist ----------------------------------
 go build ./... || err "go build failed"
 ids=$(go run ./cmd/benchtab -list)
