@@ -16,14 +16,17 @@ race:
 vet:
 	$(GO) vet ./...
 
-# Pre-PR check: formatting, vet, and the full suite under the race
-# detector. The multi-minute golden-table comparisons (fig3/fig4/fig5/
+# Pre-PR check: formatting, vet, the full suite under the race
+# detector, then every smoke and gate once. The workflow runs this
+# target and does not repeat its parts, so a smoke added here runs in
+# CI too. The multi-minute golden-table comparisons (fig3/fig4/fig5/
 # table2) skip themselves under -race; `make test` still runs them.
 ci:
 	@fmtout=$$(gofmt -l .); if [ -n "$$fmtout" ]; then \
 		echo "gofmt needed on:"; echo "$$fmtout"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) test -race ./...
+	$(MAKE) docscheck
 	sh tools/servesmoke.sh
 	sh tools/tracesmoke.sh
 	sh tools/clustersmoke.sh
@@ -88,7 +91,7 @@ benchgate-smoke:
 	sh tools/benchgatesmoke.sh
 
 # Fused-tier smoke: the superinstruction tier must not be slower than
-# the predecoded tier on a real kernel (1.2x guard band for CI noise).
+# the fast tier on a real kernel (1.2x guard band for CI noise).
 fuse-bench:
 	REPRO_FUSEBENCH=1 $(GO) test -run TestFusedTierNotSlower -count=1 -v .
 

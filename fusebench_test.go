@@ -12,11 +12,13 @@ import (
 )
 
 // TestFusedTierNotSlower is the fuse-bench smoke (`make fuse-bench`):
-// it times one kernel on the predecoded tier and on the fused tier and
-// fails if fusion makes dispatch slower. It is a wall-clock measurement,
-// so it is gated behind REPRO_FUSEBENCH=1 and allows a noise margin;
-// the correctness of the fused tier is covered by the differential
-// tests, this guards the perf claim.
+// it times one kernel on the fast tier and on the fused tier — the same
+// dispatch loop on the decoded stream and on its fused overlay, so
+// groups against no groups — and fails if fusion makes dispatch slower.
+// It is a wall-clock measurement, so it is gated behind
+// REPRO_FUSEBENCH=1 and allows a noise margin; the correctness of the
+// fused tier is covered by the differential tests, this guards the
+// perf claim.
 func TestFusedTierNotSlower(t *testing.T) {
 	if os.Getenv("REPRO_FUSEBENCH") == "" {
 		t.Skip("set REPRO_FUSEBENCH=1 to run the fused-tier smoke benchmark")

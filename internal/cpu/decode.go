@@ -2,16 +2,18 @@ package cpu
 
 import "repro/internal/x86"
 
-// This file implements the predecoded fast path's instruction format.
-// The emulator's portable loop (runSlow, the oracle) re-discovers
-// operand kinds, register numbers, and segment bases through nested
-// switches on every executed instruction. Predecoding resolves all of
-// that once per Program into a flat array of dinst values: operand
-// kinds collapse to a byte, effective-address recipes are precomputed
-// (base/index register numbers, scale, sign-extended displacement,
-// segment selector), and per-instruction encoded lengths are inlined so
-// the fetch-cost computation needs no second slice lookup. The decoded
-// form is immutable and shared by every Machine running the Program.
+// This file implements the decoded loop's instruction format. The
+// emulator's portable loop (runSlow, the oracle) re-discovers operand
+// kinds, register numbers, and segment bases through nested switches on
+// every executed instruction. Predecoding resolves all of that once per
+// Program into a flat array of dinst values: operand kinds collapse to
+// a byte, effective-address recipes are precomputed (base/index
+// register numbers, scale, sign-extended displacement, segment
+// selector), and per-instruction encoded lengths are inlined so the
+// fetch-cost computation needs no second slice lookup. The decoded form
+// is immutable and shared by every Machine running the Program; the
+// fused overlay (fuse.go) is a clone of it in the same type, so one
+// loop (machine_decoded.go) executes either stream.
 
 // Predecoded operand kinds (daccess.kind).
 const (
@@ -58,18 +60,23 @@ const (
 	eaBaseDispGS              // Regs[base] + disp + GSBase
 )
 
-// dinst is one predecoded instruction.
+// dinst is one predecoded instruction. In the decoded stream op is
+// always an x86 opcode and steps is nil; fuseProgram's clone rewrites
+// group heads to opGroup and gives them their constituents.
 type dinst struct {
 	op       x86.Op
 	w        x86.Width
 	srcW     x86.Width
 	cond     x86.Cond
 	ilen     int32
+	gxBytes  uint32 // group heads only: constituents' encoded bytes past the head
 	dst, src daccess
-	targets  []int // JTAB targets (shared with the x86.Inst; read-only)
+	targets  []int   // JTAB targets (shared with the x86.Inst; read-only)
+	steps    []fstep // group heads only: len>=2 micro-steps
 }
 
-// decFunc is one predecoded function.
+// decFunc is one function's instruction stream: the decoded one, or its
+// same-indexed fused overlay.
 type decFunc struct {
 	insts []dinst
 }

@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -19,11 +20,11 @@ import (
 // not "ALU"), so the group executor runs each constituent with one dense
 // dispatch and no second-level operand or opcode switches.
 //
-// The fused stream is an overlay: finsts are same-indexed with the
-// predecoded dinst array, a group rewrites only its head entry, and
-// interior entries remain valid singletons. Branches into the middle of
-// a group, return addresses (always original indices), epoch resume,
-// and trap attribution therefore need no pc mapping at all. Groups
+// The fused stream is an overlay: a clone of the decoded dinst array,
+// same-indexed with it, in which a group rewrites only its head entry
+// and interior entries remain valid singletons. Branches into the
+// middle of a group, return addresses (always original indices), epoch
+// resume, and trap attribution therefore need no pc mapping at all. Groups
 // additionally never span a branch target (a "leader"), so the back
 // edge of a loop always lands on a group head, not an interior
 // singleton — that is what makes fusion effective on loop bodies.
@@ -32,11 +33,11 @@ import (
 // Stats.Cycles is a float64 and float addition is not associative, so
 // each constituent's precomputed cost is charged sequentially in
 // original program order (cs[pc], cs[pc+1], ...) interleaved with
-// memory penalties exactly as the unfused engines charge them. That is
+// memory penalties exactly as singleton execution charges them. That is
 // what keeps fused runs bit-identical to the slow-path oracle.
 
 // opGroup is the fused-group opcode. It sits just past the defined
-// x86 opcodes, so the fused dispatch switch stays a dense jump table.
+// x86 opcodes, so runDecoded's dispatch switch stays a dense jump table.
 // Per-instruction base costs are always computed from the original
 // decoded stream, so opGroup never needs a cost-table entry.
 const opGroup = x86.Op(x86.OpCount)
@@ -45,7 +46,7 @@ const opGroup = x86.Op(x86.OpCount)
 const maxGroup = 16
 
 // Micro-step kinds (fstep.kind). Each mirrors exactly one operand shape
-// of one operation of one runFast case; classifyStep only produces a
+// of one operation of one runDecoded case; classifyStep only produces a
 // step when the instruction matches that shape, so the step executors
 // are straight-line code behind a single dense switch.
 const (
@@ -120,24 +121,10 @@ type fstep struct {
 	mem    *daccess // memory recipe, pointing into the shared decoded form
 }
 
-// finst is one entry of the fused stream. It embeds the predecoded
-// instruction, so singleton entries execute through the exact dinst
-// field accesses the predecoded engine uses; group heads rewrite op to
-// opGroup and carry their constituents as micro-steps.
-type finst struct {
-	dinst
-	steps   []fstep // len>=2 for group heads, nil otherwise
-	gxBytes uint32  // constituents' encoded bytes, excluding the head
-}
-
-// ffunc is one function's fused stream, same-indexed with its decFunc.
-type ffunc struct {
-	insts []finst
-}
-
-// fusedProg is a Program's fused form.
+// fusedProg is a Program's fused overlay: a clone of the decoded
+// stream, same-indexed with it, whose group heads are rewritten.
 type fusedProg struct {
-	funcs  []ffunc
+	funcs  []decFunc
 	blocks int // number of fused groups, for telemetry and tests
 }
 
@@ -214,14 +201,13 @@ func leaders(insts []dinst) []bool {
 // (up to maxGroup) that does not cross a leader, requires at least two
 // constituents, and allows a branch only as the final constituent.
 func fuseProgram(dec []decFunc, hot func(fn, pc int) bool) *fusedProg {
-	fp := &fusedProg{funcs: make([]ffunc, len(dec))}
+	fp := &fusedProg{funcs: make([]decFunc, len(dec))}
 	for fn := range dec {
 		insts := dec[fn].insts
 		ld := leaders(insts)
-		out := make([]finst, len(insts))
-		for pc := range insts {
-			out[pc].dinst = insts[pc]
-		}
+		// A clone, never an alias: the decoded stream is what the fast
+		// tier and every profile pass execute, so it must stay group-free.
+		out := slices.Clone(insts)
 		// All of a function's steps go into one contiguous arena, laid
 		// out in execution order, so the group executor walks a dense
 		// array instead of chasing a fresh allocation per group. Group
@@ -268,7 +254,7 @@ func fuseProgram(dec []decFunc, hot func(fn, pc int) bool) *fusedProg {
 		for _, g := range groups {
 			out[g.pc].steps = arena[g.off : g.off+g.n : g.off+g.n]
 		}
-		fp.funcs[fn] = ffunc{insts: out}
+		fp.funcs[fn] = decFunc{insts: out}
 	}
 	return fp
 }
@@ -305,7 +291,7 @@ var fKinds = map[x86.Op]uint8{
 // reports that it cannot be a group constituent. Register-writing
 // steps are restricted to w>=32 so executors use the zero-extending
 // write without the 8/16-bit merge path; anything else stays a
-// singleton and runs through the mirrored full dispatch.
+// singleton and runs through the loop's full dispatch.
 func classifyStep(in *dinst) (fstep, bool) {
 	st := fstep{op: in.op, w: in.w, srcW: in.srcW, cond: in.cond}
 	wide := in.w >= x86.W32

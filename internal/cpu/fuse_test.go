@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/telemetry"
@@ -21,6 +22,23 @@ func fuseLoop() *Func {
 		{Op: x86.ADD, W: x86.W64, Dst: x86.R(x86.RCX), Src: x86.Imm(1)},     // 5
 		{Op: x86.JMP, Dst: x86.Label(2)},                                    // 6
 		{Op: x86.RET},                                                       // 7
+	}}
+}
+
+// fuseWalk sums 8-byte words from rdi+8 upward until it traps: on the
+// bounds check once the pointer passes rsi, or on the load once it
+// leaves mapped memory. Both trapping instructions sit in the middle of
+// the loop body's one group (pcs 2-7).
+func fuseWalk() *Func {
+	return &Func{Name: "walk", Insts: []x86.Inst{
+		{Op: x86.XOR, W: x86.W64, Dst: x86.R(x86.RAX), Src: x86.R(x86.RAX)},                // 0
+		{Op: x86.MOV, W: x86.W64, Dst: x86.R(x86.RCX), Src: x86.R(x86.RDI)},                // 1
+		{Op: x86.ADD, W: x86.W64, Dst: x86.R(x86.RCX), Src: x86.Imm(8)},                    // 2
+		{Op: x86.CMP, W: x86.W64, Dst: x86.R(x86.RCX), Src: x86.R(x86.RSI)},                // 3
+		{Op: x86.TRAPIF, Cond: x86.CondA},                                                  // 4
+		{Op: x86.MOV, W: x86.W64, Dst: x86.R(x86.RDX), Src: x86.M(x86.Mem{Base: x86.RCX})}, // 5
+		{Op: x86.ADD, W: x86.W64, Dst: x86.R(x86.RAX), Src: x86.R(x86.RDX)},                // 6
+		{Op: x86.JMP, Dst: x86.Label(2)},                                                   // 7
 	}}
 }
 
@@ -88,8 +106,8 @@ func TestFuseFormerShapes(t *testing.T) {
 }
 
 // TestFuseProfileTriggered checks the profile-guided path end to end:
-// a fused-tier machine profiles on the predecoded engine, crosses the
-// warmup threshold mid-call, builds the fused stream exactly once, and
+// a fused-tier machine profiles on the decoded stream, crosses the
+// warmup threshold mid-call, builds the fused overlay exactly once, and
 // finishes with the bit-identical result.
 func TestFuseProfileTriggered(t *testing.T) {
 	restore := SetFuseWarmup(500, 4)
@@ -144,33 +162,141 @@ func TestFuseProfileTriggered(t *testing.T) {
 	if got := m.Prog.FuseBuilds(); got != 1 {
 		t.Fatalf("FuseBuilds = %d after second call, want 1", got)
 	}
+
+	// The budget bail sits inside the one decoded loop, so put it on
+	// every instruction boundary of a run — group heads, interiors, the
+	// instruction about to trap — and require the resumed run to equal
+	// the oracle's field for field.
+	for _, k := range []struct {
+		name  string
+		fn    func() *Func
+		args  func(heap uint64) []uint64
+		traps bool
+	}{
+		{"loop", fuseLoop, func(uint64) []uint64 { return []uint64{40} }, false},
+		// Seven words below the end of the 1 MiB heap: the bounds check
+		// fires at the fourth, or the guard page at the eighth.
+		{"trapif", fuseWalk, func(h uint64) []uint64 { return []uint64{h + 1<<20 - 64, h + 1<<20 - 40} }, true},
+		{"fault", fuseWalk, func(h uint64) []uint64 { return []uint64{h + 1<<20 - 64, ^uint64(0)} }, true},
+	} {
+		run := func(tier Tier) (*Machine, error) {
+			m, heap := testEnv(t, k.fn())
+			m.Tier = tier
+			for i := uint64(0); i < 64; i += 8 {
+				m.AS.Store(heap+1<<20-64+i, 8, i+1)
+			}
+			err := m.Call(0, k.args(heap)...)
+			return m, err
+		}
+		slow, errS := run(TierSlow)
+		if (errS != nil) != k.traps {
+			t.Fatalf("%s: oracle returned %v", k.name, errS)
+		}
+		for budget := int64(1); budget <= int64(slow.Stats.Insts); budget++ {
+			restoreB := SetFuseWarmup(budget, 1)
+			got, errG := run(TierFused)
+			restoreB()
+			sameRun(t, fmt.Sprintf("%s/budget=%d fused", k.name, budget), got, errG, slow, errS)
+			if b := got.Prog.FuseBuilds(); b != 1 {
+				t.Fatalf("%s/budget=%d: FuseBuilds = %d, want 1", k.name, budget, b)
+			}
+		}
+	}
 }
 
-// TestFuseTelemetry checks the tier-2 counters: cpu.fuse.blocks and
-// cpu.fuse.compile_ns record the build, cpu.dispatch.fused records the
-// dispatch, and the cpu.tier gauge reflects the machine's tier.
+// TestFuseTelemetry checks the tier-2 counters: cpu.fuse.blocks records
+// the build, and cpu.dispatch.{slow,fast,fused} say which engine and
+// stream each Run used — fast is a run of the decoded stream (the fast
+// tier, and every fused-tier profile pass), fused a run of the overlay.
 func TestFuseTelemetry(t *testing.T) {
 	telemetry.SetEnabled(true)
 	defer telemetry.SetEnabled(false)
-	SetFuseEager(true)
-	defer SetFuseEager(false)
+	restore := SetFuseWarmup(500, 4)
+	defer restore()
 
-	blocks := telemetry.Default.Counter("cpu.fuse.blocks").Load()
-	disp := telemetry.Default.Counter("cpu.dispatch.fused").Load()
+	names := [...]string{"cpu.dispatch.slow", "cpu.dispatch.fast", "cpu.dispatch.fused", "cpu.fuse.blocks"}
+	load := func() (v [len(names)]uint64) {
+		for i, n := range names {
+			v[i] = telemetry.Default.Counter(n).Load()
+		}
+		return v
+	}
+	f := fuseLoop()
+	f.Encode()
+	prog := &Program{Funcs: []*Func{f}}
+	for _, step := range []struct {
+		what string
+		tier Tier
+		n    uint64
+		want [len(names)]uint64 // deltas
+	}{
+		{"short fused-tier run: a profile pass only", TierFused, 10, [...]uint64{0, 1, 0, 0}},
+		{"long fused-tier run: profile pass, build, resume on the overlay", TierFused, 1000, [...]uint64{0, 1, 1, 3}},
+		{"fused-tier run after the build", TierFused, 10, [...]uint64{0, 0, 1, 0}},
+		{"fast tier on the fused Program", TierFast, 10, [...]uint64{0, 1, 0, 0}},
+		{"slow tier", TierSlow, 10, [...]uint64{1, 0, 0, 0}},
+	} {
+		before := load()
+		m, _ := testEnvProg(t, prog)
+		m.Tier = step.tier
+		if err := m.Call(0, step.n); err != nil {
+			t.Fatal(err)
+		}
+		after := load()
+		for i := range names {
+			if got := after[i] - before[i]; got != step.want[i] {
+				t.Errorf("%s: %s advanced by %d, want %d", step.what, names[i], got, step.want[i])
+			}
+		}
+	}
+}
 
-	m, _ := testEnv(t, fuseLoop())
-	m.Tier = TierFused
-	if err := m.Call(0, 50); err != nil {
-		t.Fatal(err)
-	}
-	if got := telemetry.Default.Counter("cpu.fuse.blocks").Load(); got <= blocks {
-		t.Fatalf("cpu.fuse.blocks did not advance: %d -> %d", blocks, got)
-	}
-	if got := telemetry.Default.Counter("cpu.dispatch.fused").Load(); got <= disp {
-		t.Fatalf("cpu.dispatch.fused did not advance: %d -> %d", disp, got)
-	}
-	if got := telemetry.Default.Gauge("cpu.tier").Load(); got != int64(TierFused) {
-		t.Fatalf("cpu.tier gauge = %d, want %d", got, TierFused)
+// TestDecodedStreamStaysUnfused guards the one hazard of the decoded
+// stream and its overlay sharing a type: fuseProgram must rewrite a
+// clone. After eager and after profile-triggered fusion the Program's
+// decoded stream still holds no group, and a fast-tier machine on that
+// Program still retires exactly what the oracle does.
+func TestDecodedStreamStaysUnfused(t *testing.T) {
+	for _, eager := range []bool{true, false} {
+		t.Run(fmt.Sprintf("eager=%v", eager), func(t *testing.T) {
+			loop, walk := fuseLoop(), fuseWalk()
+			loop.Encode()
+			walk.Encode()
+			prog := &Program{Funcs: []*Func{loop, walk}}
+			run := func(tier Tier, fn int) (*Machine, error) {
+				m, heap := testEnvProg(t, prog)
+				m.Tier = tier
+				args := []uint64{100} // fuseLoop's n
+				if fn == 1 {
+					args = []uint64{heap + 1<<20 - 64, ^uint64(0)} // fuseWalk, into the guard page
+				}
+				err := m.Call(fn, args...)
+				return m, err
+			}
+			func() {
+				SetFuseEager(eager)
+				defer SetFuseEager(false)
+				defer SetFuseWarmup(50, 1)()
+				for fn := range prog.Funcs {
+					run(TierFused, fn)
+				}
+			}()
+			if prog.FuseBuilds() != 1 || prog.FusedBlocks() == 0 {
+				t.Fatalf("builds=%d blocks=%d, want a fused overlay", prog.FuseBuilds(), prog.FusedBlocks())
+			}
+			for fn, df := range prog.decoded() {
+				for pc := range df.insts {
+					if in := &df.insts[pc]; in.op == opGroup || in.steps != nil || in.gxBytes != 0 {
+						t.Fatalf("decoded stream fn %d pc %d was fused in place: %+v", fn, pc, in)
+					}
+				}
+			}
+			for fn := range prog.Funcs {
+				slow, errS := run(TierSlow, fn)
+				fast, errF := run(TierFast, fn)
+				sameRun(t, fmt.Sprintf("fn=%d fast", fn), fast, errF, slow, errS)
+			}
+		})
 	}
 }
 

@@ -26,12 +26,14 @@ const (
 	// It is the differential-testing oracle the other tiers are pinned
 	// against.
 	TierSlow Tier = iota
-	// TierFast executes the predecoded dinst stream (decode.go).
+	// TierFast runs the decoded loop (machine_decoded.go) on the
+	// Program's decoded stream (decode.go).
 	TierFast
-	// TierFused executes the predecoded stream until a lightweight
-	// profile pass identifies hot code, then switches to a fused
-	// superinstruction stream (fuse.go) built once per Program and
-	// shared by every Machine running it.
+	// TierFused runs the same loop on the decoded stream until a
+	// lightweight profile pass identifies hot code, then on the fused
+	// overlay (fuse.go): a clone of that stream with superinstruction
+	// groups, built once per Program and shared by every Machine
+	// running it.
 	TierFused
 )
 
@@ -146,9 +148,8 @@ type Machine struct {
 	bpred  []uint8 // 2-bit bimodal predictor
 
 	// profCounts holds per-function per-pc execution counts while a
-	// fused-tier machine is in its profiling warmup; nil otherwise, so
-	// the fast path's gate is one hoisted nil check per frame. profLeft
-	// is the remaining per-Run profile budget (see profile.go).
+	// fused-tier machine is in its profiling warmup; nil otherwise.
+	// profLeft is the remaining per-Run profile budget (see profile.go).
 	profCounts [][]uint32
 	profLeft   int64
 
@@ -159,15 +160,15 @@ type Machine struct {
 	costTabOK  bool
 
 	// Per-instruction base costs (fetch + opcode class) for the
-	// predecoded program, precomputed so the fast path's hot loop
-	// replaces a float division and two table lookups per step with one
-	// slice read. Valid for one (Program, CostModel) pair — dcostProg is
-	// nil until the first build — and rebuilt when either changes.
+	// predecoded program, precomputed so the decoded loop replaces a
+	// float division and two table lookups per step with one slice
+	// read. Valid for one (Program, CostModel) pair — dcostProg is nil
+	// until the first build — and rebuilt when either changes.
 	dcost     [][]float64
 	dcostFor  CostModel
 	dcostProg *Program
 
-	// mtc is the fast path's access-grant cache: per-page protection,
+	// mtc is the decoded loop's access-grant cache: per-page protection,
 	// pkey, and backing-page pointer, validated against the address
 	// space's mapping generation. It lets the fused load/store fast
 	// path skip the VMA walk and page-map hash on the hot path.
@@ -610,50 +611,46 @@ var (
 	ctrDispatchSlow  = telemetry.Default.Counter("cpu.dispatch.slow")
 	ctrDispatchFused = telemetry.Default.Counter("cpu.dispatch.fused")
 	ctrInstsRetired  = telemetry.Default.Counter("cpu.insts_retired")
-	gaugeTier        = telemetry.Default.Gauge("cpu.tier")
 )
 
 // Run executes until the outermost function returns, a trap occurs, or
 // the epoch deadline fires. After a resumable TrapEpoch, calling Run
 // again continues execution.
 //
-// The engine is selected by Tier (predecoded fast path by default via
-// SetDefaultTier; TierSlow forces the original portable loop, the
-// differential-testing oracle; TierFused adds profile-guided
-// superinstruction fusion). All tiers produce bit-identical
-// architectural state and Stats.
+// Tier chooses the engine and the stream: TierSlow is the original
+// portable loop, the differential-testing oracle; TierFast runs the
+// decoded loop on the Program's decoded stream; TierFused (what
+// NewMachine assigns unless SetDefaultTier says otherwise) runs the
+// same loop, profiling on the decoded stream until the fused overlay
+// is built and on the overlay afterwards. All tiers produce
+// bit-identical architectural state and Stats.
 func (m *Machine) Run() error {
-	if !telemetry.Enabled() {
-		switch m.Tier {
-		case TierSlow:
-			return m.runSlow()
-		case TierFused:
-			return m.runTiered(false)
-		default:
-			return m.runFast()
-		}
-	}
+	tele := telemetry.Enabled()
 	before := m.Stats.Insts
-	gaugeTier.Set(int64(m.Tier))
 	var err error
 	switch m.Tier {
 	case TierSlow:
-		ctrDispatchSlow.Inc()
+		if tele {
+			ctrDispatchSlow.Inc()
+		}
 		err = m.runSlow()
 	case TierFused:
-		err = m.runTiered(true)
+		err = m.runTiered(tele)
 	default:
-		ctrDispatchFast.Inc()
-		err = m.runFast()
+		if tele {
+			ctrDispatchFast.Inc()
+		}
+		err = m.runDecoded(m.Prog.decoded(), false)
 	}
-	ctrInstsRetired.Add(m.Stats.Insts - before)
+	if tele {
+		ctrInstsRetired.Add(m.Stats.Insts - before)
+	}
 	return err
 }
 
 // runSlow is the original interpreter loop: operand kinds, segment
 // bases, and encoded lengths are re-resolved on every step. It is kept
-// as the oracle the predecoded fast path is differentially tested
-// against.
+// as the oracle the decoded loop is differentially tested against.
 func (m *Machine) runSlow() error {
 	for len(m.frames) > 0 {
 		fr := &m.frames[len(m.frames)-1]

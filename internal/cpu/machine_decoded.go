@@ -7,36 +7,44 @@ import (
 	"repro/internal/x86"
 )
 
-// This file is the fused execution engine (tier 2). runFused is a
-// line-for-line mirror of runFast in machine_fast.go operating on the
-// fused finst stream from fuse.go: singleton entries carry the same
-// predecoded fields (finst embeds dinst) and execute through identical
-// code, and group heads dispatch once for two or three constituents
-// whose operand recipes were fully resolved at fuse time.
+// This file is the decoded engine: one dispatch loop over a []decFunc
+// stream. It mirrors runSlow in machine.go, but operand dispatch happens
+// on a predecoded byte, effective addresses come from a precomputed
+// recipe, and base costs come from a per-instruction table; instructions
+// are accessed by pointer, so the ~130-byte x86.Inst copy the slow path
+// pays per step disappears. The stream is either the Program's decoded
+// stream (every entry a singleton) or its fused overlay, in which a
+// group head dispatches once for up to maxGroup constituents whose
+// operand recipes were fully resolved at fuse time (fuse.go).
 //
-// The invariants that keep this tier bit-identical to the oracle:
+// The invariants that keep groups bit-identical to the oracle:
 //   - each constituent charges its own precomputed base cost cs[pc+i]
 //     in original program order (float accumulation order is part of
 //     the architecture here), with memory penalties interleaved exactly
-//     where the unfused engines charge them;
+//     where singleton execution charges them;
 //   - Insts/BytesFetched are integer accumulators, so a group batches
-//     them;
+//     them, and takes back the share of the constituents after one that
+//     traps;
 //   - fr.pc is set to the constituent's original index before any step
 //     that can trap, so Trap{Fn,PC} and fault resume points match;
-//   - the fused stream is same-indexed with the decoded stream, so
-//     branch targets, return addresses, and epoch resume need no
-//     translation, and branching into the middle of a group lands on a
-//     plain singleton copy of that instruction.
-//
-// Any semantic change in runSlow/runFast must be mirrored here; the
-// differential tests in machine_fast_test.go, fuse_test.go, and
-// internal/rt pin all three engines against each other.
+//   - the overlay is same-indexed with the decoded stream, so branch
+//     targets, return addresses, and epoch resume need no translation,
+//     and branching into the middle of a group lands on a plain
+//     singleton copy of that instruction.
 
-// runFused executes using the fused stream. Semantics, trap behaviour,
-// and Stats accounting are bit-identical to runSlow and runFast.
-func (m *Machine) runFused(fp *fusedProg) error {
-	dec := m.Prog.decoded()
-	dcost := m.instCosts(dec)
+// runDecoded executes the given stream of m.Prog: the decoded stream or
+// its fused overlay. With profile set (the fused tier's warmup, on the
+// decoded stream only) it counts executions per pc into m.profCounts and
+// returns errProfileBudget once m.profLeft instructions have run.
+// Semantics, trap behaviour, and Stats accounting are bit-identical to
+// runSlow.
+func (m *Machine) runDecoded(stream []decFunc, profile bool) error {
+	dcost := m.instCosts(m.Prog.decoded())
+	// Insts and BytesFetched are pure accumulators — nothing reads them
+	// until the run completes — so they live in locals and flush once on
+	// exit instead of paying two read-modify-writes per instruction.
+	// Cycles stays canonical in m.Stats: memCost, traps, and host calls
+	// read and update it mid-run.
 	var nInsts, nBytes uint64
 	defer func() {
 		m.Stats.Insts += nInsts
@@ -44,15 +52,36 @@ func (m *Machine) runFused(fp *fusedProg) error {
 	}()
 frames:
 	for len(m.frames) > 0 {
+		// Hoist the per-frame state: the instruction and cost slices only
+		// change when the frame stack does (call/ret/host), so the inner
+		// loop dispatches straight off two locals instead of re-indexing
+		// stream and dcost through fr.fn on every instruction.
 		fr := &m.frames[len(m.frames)-1]
-		insts := fp.funcs[fr.fn].insts
-		cs := dcost[fr.fn][:len(insts)] // same length as the decoded stream
+		insts := stream[fr.fn].insts
+		cs := dcost[fr.fn][:len(insts)] // same length, so cs[pc] shares insts' bounds check
+		// Nil outside the profile pass, so the per-instruction cost of
+		// profiling support is one predictable branch.
+		var pcnt []uint32
+		if profile {
+			pcnt = m.profCounts[fr.fn]
+		}
 		for {
 			pc := fr.pc
 			if uint(pc) >= uint(len(insts)) {
 				return fmt.Errorf("cpu: pc %d out of range in %q", pc, m.Prog.Funcs[fr.fn].Name)
 			}
 			in := &insts[pc]
+
+			if pcnt != nil {
+				// Bail at the instruction boundary: nothing executed or
+				// charged yet and fr.pc == pc, so runTiered can resume
+				// this exact instruction on the fused overlay.
+				if m.profLeft <= 0 {
+					return errProfileBudget
+				}
+				m.profLeft--
+				pcnt[pc]++
+			}
 
 			nInsts++
 			nBytes += uint64(in.ilen)
@@ -66,6 +95,7 @@ frames:
 				nInsts += uint64(n - 1)
 				nBytes += uint64(in.gxBytes)
 				next = pc + n
+				var gerr error
 				for i := 0; i < n; i++ {
 					st := &steps[i]
 					if i != 0 {
@@ -205,7 +235,8 @@ frames:
 						a := m.Regs[st.dst&15] & wmask[st.w&31]
 						b, err := m.loadFast(m.eaD(st.mem), int(st.w))
 						if err != nil {
-							return err
+							gerr = err
+							goto trapped
 						}
 						m.setFlagsSub(a, b, a-b, st.w)
 					case fsTest:
@@ -233,34 +264,39 @@ frames:
 						fr.pc = pc + i
 						v, err := m.loadFast(m.eaD(st.mem), int(st.w))
 						if err != nil {
-							return err
+							gerr = err
+							goto trapped
 						}
 						m.Regs[st.dst&15] = v & wmask[st.w&31]
 					case fsLoadZX:
 						fr.pc = pc + i
 						v, err := m.loadFast(m.eaD(st.mem), int(st.srcW))
 						if err != nil {
-							return err
+							gerr = err
+							goto trapped
 						}
 						m.Regs[st.dst&15] = v & wmask[st.w&31]
 					case fsLoadSX:
 						fr.pc = pc + i
 						v, err := m.loadFast(m.eaD(st.mem), int(st.srcW))
 						if err != nil {
-							return err
+							gerr = err
+							goto trapped
 						}
 						m.Regs[st.dst&15] = signExtend(v, st.srcW) & wmask[st.w&31]
 					case fsStoreR:
 						fr.pc = pc + i
 						v := m.Regs[st.src&15] & wmask[st.w&31]
 						if err := m.storeFast(m.eaD(st.mem), int(st.w), v); err != nil {
-							return err
+							gerr = err
+							goto trapped
 						}
 					case fsStoreI:
 						fr.pc = pc + i
 						v := uint64(st.imm) & wmask[st.w&31]
 						if err := m.storeFast(m.eaD(st.mem), int(st.w), v); err != nil {
-							return err
+							gerr = err
+							goto trapped
 						}
 
 					case fsFMovXX:
@@ -269,13 +305,15 @@ frames:
 						fr.pc = pc + i
 						v, err := m.loadFast(m.eaD(st.mem), 8)
 						if err != nil {
-							return err
+							gerr = err
+							goto trapped
 						}
 						m.XmmLo[st.dst] = v
 					case fsFStore:
 						fr.pc = pc + i
 						if err := m.storeFast(m.eaD(st.mem), 8, m.XmmLo[st.src]); err != nil {
-							return err
+							gerr = err
+							goto trapped
 						}
 					case fsFAdd:
 						a := math.Float64frombits(m.XmmLo[st.dst])
@@ -310,11 +348,13 @@ frames:
 						addr := m.eaD(st.mem)
 						lo, err := m.loadFast(addr, 8)
 						if err != nil {
-							return err
+							gerr = err
+							goto trapped
 						}
 						hi, err := m.loadFast(addr+8, 8)
 						if err != nil {
-							return err
+							gerr = err
+							goto trapped
 						}
 						m.XmmLo[st.dst] = lo
 						m.XmmHi[st.dst] = hi
@@ -322,16 +362,19 @@ frames:
 						fr.pc = pc + i
 						addr := m.eaD(st.mem)
 						if err := m.storeFast(addr, 8, m.XmmLo[st.src]); err != nil {
-							return err
+							gerr = err
+							goto trapped
 						}
 						if err := m.storeFast(addr+8, 8, m.XmmHi[st.src]); err != nil {
-							return err
+							gerr = err
+							goto trapped
 						}
 
 					case fsTrapif:
 						if m.cond(st.cond) {
 							fr.pc = pc + i
-							return m.trap(TrapBounds, 0)
+							gerr = m.trap(TrapBounds, 0)
+							goto trapped
 						}
 					case fsJcc:
 						taken := m.cond(st.cond)
@@ -343,10 +386,24 @@ frames:
 						next = int(st.target)
 					}
 				}
+				break
+			trapped:
+				// fr.pc names the constituent that trapped: take back what
+				// the group charged up front for the ones after it.
+				for j := fr.pc + 1; j < pc+n; j++ {
+					nInsts--
+					nBytes -= uint64(insts[j].ilen)
+				}
+				return gerr
 
 			case x86.NOP:
 
 			case x86.MOV:
+				// Register operands are open-coded in the hot integer cases:
+				// readOpD/writeOpD are one call too large for the inliner, and
+				// this dispatch path is where the emulator spends its time.
+				// The &15/&31 index masks are no-ops for valid operands and
+				// let the compiler drop the bounds checks.
 				var v uint64
 				if in.src.kind == dReg {
 					v = m.Regs[in.src.reg&15] & wmask[in.w&31]
@@ -735,11 +792,11 @@ frames:
 				m.Regs[x86.RAX] = uint64(m.PKRU)
 
 			case x86.MOVSD:
-				if err := m.execMOVSDD(&in.dinst); err != nil {
+				if err := m.execMOVSDD(in); err != nil {
 					return err
 				}
 			case x86.ADDSD, x86.SUBSD, x86.MULSD, x86.DIVSD, x86.MINSD, x86.MAXSD:
-				if err := m.execFBinD(&in.dinst); err != nil {
+				if err := m.execFBinD(in); err != nil {
 					return err
 				}
 			case x86.NEGSD:
@@ -822,7 +879,7 @@ frames:
 				m.XmmLo[in.dst.reg] = m.Regs[in.src.reg]
 
 			case x86.MOVDQU:
-				if err := m.execMOVDQUD(&in.dinst); err != nil {
+				if err := m.execMOVDQUD(in); err != nil {
 					return err
 				}
 			case x86.PADDD:

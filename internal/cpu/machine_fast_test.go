@@ -24,33 +24,40 @@ func diffRun(t *testing.T, funcs []*Func, fnIdx int, args ...uint64) {
 	slow, errS := run(TierSlow)
 	for _, tier := range []Tier{TierFast, TierFused} {
 		got, errG := run(tier)
-		if (errG == nil) != (errS == nil) {
-			t.Fatalf("%v error mismatch: %v=%v slow=%v", tier, tier, errG, errS)
-		}
-		if errG != nil && errG.Error() != errS.Error() {
-			t.Fatalf("%v error text mismatch: %v=%v slow=%v", tier, tier, errG, errS)
-		}
-		if got.Regs != slow.Regs {
-			t.Fatalf("%v register mismatch:\n%v %v\nslow %v", tier, tier, got.Regs, slow.Regs)
-		}
-		if got.XmmLo != slow.XmmLo || got.XmmHi != slow.XmmHi {
-			t.Fatalf("%v xmm mismatch", tier)
-		}
-		if got.GSBase != slow.GSBase || got.FSBase != slow.FSBase || got.PKRU != slow.PKRU {
-			t.Fatalf("%v segment/pkru mismatch", tier)
-		}
-		if got.zf != slow.zf || got.sf != slow.sf || got.cf != slow.cf || got.of != slow.of {
-			t.Fatalf("%v flags mismatch", tier)
-		}
-		if got.Stats != slow.Stats {
-			t.Fatalf("%v stats mismatch:\n%v %+v\nslow %+v", tier, tier, got.Stats, slow.Stats)
-		}
-		// Compare the heap region the programs may have written.
-		const heapBase = 0x100000000
-		for off := uint64(0); off < 4096; off += 8 {
-			if g, s := got.AS.Load(heapBase+off, 8), slow.AS.Load(heapBase+off, 8); g != s {
-				t.Fatalf("%v heap mismatch at +%#x: %#x slow %#x", tier, off, g, s)
-			}
+		sameRun(t, tier.String(), got, errG, slow, errS)
+	}
+}
+
+// sameRun asserts that a run retired bit-identical architectural state,
+// Stats, trap, and heap contents to the slow-tier oracle's run.
+func sameRun(t *testing.T, tier string, got *Machine, errG error, slow *Machine, errS error) {
+	t.Helper()
+	if (errG == nil) != (errS == nil) {
+		t.Fatalf("%v error mismatch: %v=%v slow=%v", tier, tier, errG, errS)
+	}
+	if errG != nil && errG.Error() != errS.Error() {
+		t.Fatalf("%v error text mismatch: %v=%v slow=%v", tier, tier, errG, errS)
+	}
+	if got.Regs != slow.Regs {
+		t.Fatalf("%v register mismatch:\n%v %v\nslow %v", tier, tier, got.Regs, slow.Regs)
+	}
+	if got.XmmLo != slow.XmmLo || got.XmmHi != slow.XmmHi {
+		t.Fatalf("%v xmm mismatch", tier)
+	}
+	if got.GSBase != slow.GSBase || got.FSBase != slow.FSBase || got.PKRU != slow.PKRU {
+		t.Fatalf("%v segment/pkru mismatch", tier)
+	}
+	if got.zf != slow.zf || got.sf != slow.sf || got.cf != slow.cf || got.of != slow.of {
+		t.Fatalf("%v flags mismatch", tier)
+	}
+	if got.Stats != slow.Stats {
+		t.Fatalf("%v stats mismatch:\n%v %+v\nslow %+v", tier, tier, got.Stats, slow.Stats)
+	}
+	// Compare the heap region the programs may have written.
+	const heapBase = 0x100000000
+	for off := uint64(0); off < 4096; off += 8 {
+		if g, s := got.AS.Load(heapBase+off, 8), slow.AS.Load(heapBase+off, 8); g != s {
+			t.Fatalf("%v heap mismatch at +%#x: %#x slow %#x", tier, off, g, s)
 		}
 	}
 }

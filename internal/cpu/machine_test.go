@@ -13,6 +13,16 @@ import (
 // 1 MiB rw heap at heapBase, and a machine over the given functions.
 func testEnv(t *testing.T, funcs ...*Func) (*Machine, uint64) {
 	t.Helper()
+	for _, f := range funcs {
+		f.Encode()
+	}
+	return testEnvProg(t, &Program{Funcs: funcs})
+}
+
+// testEnvProg is testEnv over an existing (encoded) Program, for tests
+// that run several machines on one Program's streams.
+func testEnvProg(t *testing.T, prog *Program) (*Machine, uint64) {
+	t.Helper()
 	as := mem.NewAS(47)
 	const stackBase = 0x7f0000000000
 	const stackSize = 64 << 10
@@ -27,10 +37,7 @@ func testEnv(t *testing.T, funcs ...*Func) (*Machine, uint64) {
 	if err := as.Mmap(heapBase+1<<20, 64<<10, mem.ProtNone); err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range funcs {
-		f.Encode()
-	}
-	m := NewMachine(as, &Program{Funcs: funcs})
+	m := NewMachine(as, prog)
 	m.Regs[x86.RSP] = stackBase + stackSize
 	return m, heapBase
 }

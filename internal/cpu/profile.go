@@ -6,13 +6,13 @@ import (
 )
 
 // This file is the fused tier's profile pass. A fused-tier Machine runs
-// the predecoded engine with per-pc execution counting switched on (a
-// single hoisted nil check per frame gates it, so fast-tier machines
-// pay nothing) until its per-Run instruction budget runs out. The
-// budget check happens at an instruction boundary with fr.pc pointing
-// at the next unexecuted instruction, so the run bails with
+// the decoded stream with per-pc execution counting switched on (one
+// predictable branch per instruction gates it, so runs that don't
+// profile pay nothing) until its per-Run instruction budget runs out.
+// The budget check happens at an instruction boundary with fr.pc
+// pointing at the next unexecuted instruction, so the run bails with
 // errProfileBudget, merges its counts into the Program, triggers the
-// one-time fused build, and resumes mid-call on the fused stream — a
+// one-time fused build, and resumes mid-call on the fused overlay — a
 // single long Invoke still reaches the fused tier.
 
 // fuseWarmupInsts is both the per-Run profile budget and the merged
@@ -45,14 +45,14 @@ var fuseEager atomic.Bool
 // coverage to short-running differential and fuzz tests.
 func SetFuseEager(on bool) { fuseEager.Store(on) }
 
-// errProfileBudget is returned by runFast when the profiling budget is
-// exhausted. It never escapes runTiered: the machine state is a valid
-// instruction boundary, so execution continues on the fused stream.
+// errProfileBudget is returned by a profiling runDecoded when the
+// budget is exhausted. It never escapes runTiered: the machine state is
+// a valid instruction boundary, so execution continues on the overlay.
 var errProfileBudget = errors.New("cpu: profile budget reached")
 
-// runTiered is the fused tier's engine selector: execute the fused
-// stream when it exists, otherwise profile on the predecoded engine
-// and build the fused stream once enough counts accumulate.
+// runTiered is the fused tier's stream selector: execute the fused
+// overlay when it exists, otherwise profile on the decoded stream and
+// build the overlay once enough counts accumulate.
 func (m *Machine) runTiered(tele bool) error {
 	p := m.Prog
 	for {
@@ -61,7 +61,7 @@ func (m *Machine) runTiered(tele bool) error {
 			if tele {
 				ctrDispatchFused.Inc()
 			}
-			return m.runFused(fp)
+			return m.runDecoded(fp.funcs, false)
 		}
 		if fuseEager.Load() {
 			p.buildFusedEager()
@@ -71,14 +71,14 @@ func (m *Machine) runTiered(tele bool) error {
 		if tele {
 			ctrDispatchFast.Inc()
 		}
-		err := m.runFast()
+		err := m.runDecoded(p.decoded(), true)
 		p.mergeProfile(m)
 		if err != errProfileBudget {
 			return err
 		}
 		// Budget reached mid-run: the merge above crossed the build
-		// threshold, so the next loop iteration resumes on the fused
-		// stream from the exact instruction boundary runFast stopped at.
+		// threshold, so the next loop iteration resumes on the overlay
+		// from the exact instruction boundary the profile pass stopped at.
 	}
 }
 

@@ -66,13 +66,13 @@ type Program struct {
 	// HostNames parallels Hosts, for diagnostics.
 	HostNames []string
 
-	// Predecoded fast-path form, built lazily once and shared by all
-	// Machines executing this Program.
+	// The decoded stream (decode.go), built lazily once and shared by
+	// all Machines executing this Program.
 	decOnce sync.Once
 	dec     []decFunc
 
-	// Fused tier state (fuse.go/profile.go). The fused stream is built
-	// at most once per Program — from merged per-machine profiles or
+	// Fused tier state (fuse.go/profile.go). The fused overlay of dec is
+	// built at most once per Program — from merged per-machine profiles or
 	// eagerly — and published through fusedP, so a module fused once
 	// serves every subsequent Machine (the module cache in internal/rt
 	// shares Programs across instances for exactly this amortization).

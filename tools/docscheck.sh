@@ -8,7 +8,7 @@
 # 4. The documented commands run, in cheap smoke configurations —
 #    including the fault-injection flags.
 #
-# Run via `make docscheck`; CI runs it on every push.
+# Run via `make docscheck`; `make ci` (and so CI) includes it.
 set -eu
 cd "$(dirname "$0")/.."
 
