@@ -33,9 +33,12 @@ import (
 // go test -bench=Fig3 -j 4
 var parallelFlag = flag.Int("j", 0, "experiment engine parallelism (0 = NumCPU)")
 
+// opts is the configuration every benchmark runs under, set by TestMain.
+var opts exp.Options
+
 func TestMain(m *testing.M) {
 	flag.Parse()
-	exp.SetParallelism(*parallelFlag)
+	opts.Jobs = *parallelFlag
 	// REPRO_TIER selects the execution tier for every machine: slow (the
 	// differential-testing oracle), fast (predecoded), or fused (the
 	// default, profile-guided superinstructions) — for before/after
@@ -47,9 +50,9 @@ func TestMain(m *testing.M) {
 			fmt.Fprintf(os.Stderr, "REPRO_TIER: %v\n", err)
 			os.Exit(2)
 		}
-		cpu.SetDefaultTier(tier)
+		opts.Tier = tier
 	} else if os.Getenv("REPRO_SLOWPATH") != "" {
-		cpu.SetDefaultTier(cpu.TierSlow)
+		opts.Tier = cpu.TierSlow
 	}
 	os.Exit(m.Run())
 }
@@ -79,7 +82,7 @@ func runExperiment(b *testing.B, id string) {
 	if !ok {
 		exp.TakeSimCycles() // exclude cycles other experiments accumulated
 		start := time.Now()
-		t, err := e.Run()
+		t, err := e.Run(opts)
 		if err != nil {
 			b.Fatalf("%s: %v", id, err)
 		}
@@ -160,6 +163,7 @@ func BenchmarkEmulator(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	inst.Mach.Tier = opts.Tier
 	b.ResetTimer()
 	var before uint64
 	for i := 0; i < b.N; i++ {
@@ -191,6 +195,7 @@ func benchEmulatorTelemetry(b *testing.B, on bool) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	inst.Mach.Tier = opts.Tier
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := inst.Invoke("run", 10000); err != nil {

@@ -54,13 +54,13 @@ type historyRecord struct {
 	Results []benchResult `json:"results"`
 }
 
-// runOnce executes one experiment from a cold compile cache and returns
-// its table plus the measured wall seconds and simulated cycles.
-func runOnce(e exp.Experiment) (t *report.Table, wall, cycles float64, err error) {
+// runOnce executes one experiment under o from a cold compile cache and
+// returns its table plus the measured wall seconds and simulated cycles.
+func runOnce(e exp.Experiment, o exp.Options) (t *report.Table, wall, cycles float64, err error) {
 	rt.ResetModuleCache()
 	exp.TakeSimCycles()
 	start := time.Now()
-	t, err = e.Run()
+	t, err = e.Run(o)
 	if err != nil {
 		return nil, 0, 0, err
 	}
@@ -77,8 +77,8 @@ func main() {
 	history := flag.String("history", "", "append a timestamped record of this run to this JSONL file")
 	compare := flag.Bool("compare", false, "also time each experiment with optimizations disabled and record the speedup")
 	tierFlag := flag.String("tier", "fused", "execution tier: slow, fast, or fused")
-	schemeFlag := flag.String("scheme", "", "process-wide transition scheme (default, zerocost, onestack, trampoline)")
-	hardenFlag := flag.String("harden", "none", "process-wide Spectre hardening (none, swivel-sfi, swivel-cet, deterministic)")
+	schemeFlag := flag.String("scheme", "", "transition scheme for every experiment (default, zerocost, onestack, trampoline)")
+	hardenFlag := flag.String("harden", "none", "Spectre hardening for every experiment (none, swivel-sfi, swivel-cet, deterministic)")
 	tele := telemetry.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 
@@ -91,20 +91,17 @@ func main() {
 		fmt.Fprintf(os.Stderr, "benchtab: -tier %s: %v\n", *tierFlag, err)
 		os.Exit(2)
 	}
-	cpu.SetDefaultTier(tier)
 	scheme, err := isolation.ParseScheme(*schemeFlag)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchtab: -scheme %s: %v\n", *schemeFlag, err)
 		os.Exit(2)
 	}
-	isolation.SetDefaultScheme(scheme)
 	harden, err := sfi.ParseHarden(*hardenFlag)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchtab: -harden %s: %v\n", *hardenFlag, err)
 		os.Exit(2)
 	}
-	sfi.SetDefaultHarden(harden)
-	exp.SetParallelism(*jobs)
+	opts := exp.Options{Tier: tier, Scheme: scheme, Harden: harden, Jobs: *jobs}
 	if err := tele.Start(); err != nil {
 		fmt.Fprintln(os.Stderr, "benchtab:", err)
 		os.Exit(1)
@@ -160,7 +157,7 @@ func main() {
 		r.ID = e.ID
 		r.Tier = tier.String()
 
-		t, wall, cycles, err := runOnce(e)
+		t, wall, cycles, err := runOnce(e, opts)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "benchtab: %s failed: %v\n", e.ID, err)
 			os.Exit(1)
@@ -181,11 +178,11 @@ func main() {
 	if *compare {
 		// Baseline legs: serial engine, no compile cache, slow
 		// interpreter loop — the pre-optimization configuration.
-		exp.SetParallelism(1)
+		base := opts
+		base.Jobs, base.Tier = 1, cpu.TierSlow
 		rt.SetModuleCacheEnabled(false)
-		cpu.SetDefaultTier(cpu.TierSlow)
 		for i, e := range selected {
-			t, wall, _, err := runOnce(e)
+			t, wall, _, err := runOnce(e, base)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "benchtab: %s (baseline) failed: %v\n", e.ID, err)
 				os.Exit(1)
@@ -198,9 +195,7 @@ func main() {
 			recorded[i].Speedup = wall / recorded[i].WallSeconds
 			fmt.Fprintf(os.Stderr, "[%s baseline %.2fs, speedup %.2fx, tables identical]\n", e.ID, wall, recorded[i].Speedup)
 		}
-		exp.SetParallelism(*jobs)
 		rt.SetModuleCacheEnabled(true)
-		cpu.SetDefaultTier(tier)
 	}
 
 	if *results != "" {

@@ -76,8 +76,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "faasd: -tier %s: %v\n", *tierFlag, err)
 		os.Exit(2)
 	}
-	cpu.SetDefaultTier(tier)
-
 	sch, err := isolation.ParseScheme(*scheme)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "faasd: -scheme %s: %v\n", *scheme, err)
@@ -88,7 +86,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "faasd: -harden %s: %v\n", *hardenFlag, err)
 		os.Exit(2)
 	}
-	sfi.SetDefaultHarden(harden)
 
 	if err := validate(*shards, *workers, *queue, *maxInFlight, *slots, *warm, *timeout, *breakerFails, *breakerOpen, *drainTimeout); err != nil {
 		fmt.Fprintln(os.Stderr, "faasd:", err)
@@ -103,6 +100,8 @@ func main() {
 	cfg := server.Config{
 		DefaultBackend:  isolation.Kind(*backend),
 		DefaultScheme:   sch,
+		Tier:            tier,
+		Harden:          harden,
 		Shards:          *shards,
 		WorkersPerShard: *workers,
 		QueueDepth:      *queue,

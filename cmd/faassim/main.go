@@ -79,7 +79,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "faassim: -harden %s: %v\n", *hardenFlag, err)
 		os.Exit(2)
 	}
-	sfi.SetDefaultHarden(harden)
 
 	// Any armed knob turns the fault machinery on for both sides of the
 	// comparison; faultConfig scales the base rate into each backend's
@@ -108,7 +107,7 @@ func main() {
 		names = []string{*handler}
 	}
 	for _, name := range names {
-		w, err := buildWorkload(name, *computeNs, *pages)
+		w, err := buildWorkload(name, *computeNs, *pages, harden)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "faassim:", err)
 			os.Exit(1)
@@ -241,7 +240,7 @@ func shortName(kind isolation.Kind) string {
 	return string(kind)
 }
 
-func buildWorkload(name string, computeNs float64, pages int) (faas.Workload, error) {
+func buildWorkload(name string, computeNs float64, pages int, harden sfi.Harden) (faas.Workload, error) {
 	if computeNs > 0 {
 		return faas.Workload{Name: name, ComputeNs: computeNs, Pages: pages}, nil
 	}
@@ -258,7 +257,9 @@ func buildWorkload(name string, computeNs float64, pages int) (faas.Workload, er
 	if err != nil {
 		return faas.Workload{}, err
 	}
-	m, err := exp.MeasureKernel(k, sfi.DefaultConfig(sfi.ModeSegue), []uint64{batch})
+	cfg := sfi.DefaultConfig(sfi.ModeSegue)
+	cfg.Harden = harden
+	m, err := exp.Options{}.MeasureKernel(k, cfg, []uint64{batch})
 	if err != nil {
 		return faas.Workload{}, err
 	}

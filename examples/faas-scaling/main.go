@@ -8,17 +8,19 @@ package main
 import (
 	"fmt"
 
-	"repro/internal/core"
+	"repro/internal/ir"
+	"repro/internal/isolation"
+	"repro/internal/mem"
 	"repro/internal/pool"
+	"repro/internal/rt"
+	"repro/internal/sfi"
 	"repro/internal/workloads"
 )
 
 func main() {
-	eng := core.NewEngine(core.Options{Segue: true, FSGSBASE: true})
-
-	// A pool of 64 MiB-max sandboxes with a 512 MiB guard requirement,
-	// striped over the 15 usable MPK keys.
-	p, err := eng.NewPool(core.PoolOptions{
+	// A ColorGuard slab of 64 MiB-max sandboxes with a 512 MiB guard
+	// requirement, striped over the 15 usable MPK keys.
+	b, err := isolation.NewReserved(isolation.ColorGuard, mem.NewAS(47), isolation.Config{
 		MaxMemoryBytes: 64 << 20,
 		GuardBytes:     512 << 20,
 		Slots:          256,
@@ -27,37 +29,45 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("pool: %d slots, %d MPK stripes, %d free\n", p.Capacity(), p.Stripes(), p.Available())
+	if err := b.CheckIsolation(); err != nil {
+		panic(err)
+	}
+	fmt.Printf("pool: %d slots, %d MPK stripes, %d free\n", b.Capacity(), b.Layout().NumStripes, b.Available())
 
-	// Serve "requests" with the paper's regex-filtering handler.
+	// Serve "requests" with the paper's regex-filtering handler, each on
+	// a fresh instance placed in its own colored slot.
 	k, err := workloads.FaaS().Find("regex-filtering")
 	if err != nil {
 		panic(err)
 	}
-	cm, err := eng.Compile(k.Build(false))
+	mod, err := rt.CompileModule(k.Build(false), sfi.DefaultConfig(sfi.ModeSegue))
 	if err != nil {
 		panic(err)
 	}
 
-	var boxes []*core.Sandbox
+	var insts []*rt.Instance
 	for i := 0; i < 10; i++ {
-		sb, err := p.Instantiate(cm, nil)
+		slot, err := b.Allocate(uint64(mod.IR.MemMin) * ir.PageSize)
 		if err != nil {
 			panic(err)
 		}
-		res, err := sb.Call("run", 64)
+		inst, err := rt.NewInstance(mod, rt.InstanceOptions{FSGSBASE: true, Place: isolation.Place(b, slot)})
+		if err != nil {
+			panic(err)
+		}
+		res, err := inst.Invoke("run", 64)
 		if err != nil {
 			panic(err)
 		}
 		fmt.Printf("  request %2d: matched %d of 64 URLs (%.1f µs simulated)\n",
-			i, res[0], sb.SimulatedNanos()/1e3)
-		boxes = append(boxes, sb)
+			i, res[0], inst.Mach.Stats.Nanos(&inst.Mach.Cost)/1e3)
+		insts = append(insts, inst)
 	}
-	fmt.Printf("after 10 requests: %d slots free\n", p.Available())
-	for _, sb := range boxes {
-		sb.Close()
+	fmt.Printf("after 10 requests: %d slots free\n", b.Available())
+	for _, inst := range insts {
+		inst.Close() // recycles the slot: zeroed, color intact
 	}
-	fmt.Printf("after recycling:   %d slots free\n\n", p.Available())
+	fmt.Printf("after recycling:   %d slots free\n\n", b.Available())
 
 	// The §6.4.2 density computation: 408 MB memories in an 85 TiB
 	// budget, with and without striping.

@@ -10,7 +10,6 @@ package main
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/rt"
 	"repro/internal/sfi"
 	"repro/internal/workloads"
@@ -23,33 +22,31 @@ func main() {
 	}
 	const glyphs = 1200 // a text-heavy page reflow
 
-	render := func(o core.Options, sandboxed bool) float64 {
-		if !sandboxed {
-			o = core.Options{FSGSBASE: o.FSGSBASE}
-		}
-		eng := core.NewEngine(o)
-		cm, err := eng.Compile(k.Build(false))
+	// render compiles the library under mode and returns the simulated
+	// milliseconds one instance spends rendering the page. The
+	// unsandboxed baseline still runs on the simulated machine: it is
+	// the same library compiled without instrumentation (ModeNative).
+	render := func(mode sfi.Mode, fsgsbase bool) float64 {
+		mod, err := rt.CompileModule(k.Build(false), sfi.DefaultConfig(mode))
 		if err != nil {
 			panic(err)
 		}
-		sb, err := eng.Instantiate(cm, nil)
+		inst, err := rt.NewInstance(mod, rt.InstanceOptions{FSGSBASE: fsgsbase})
 		if err != nil {
 			panic(err)
 		}
 		for g := 0; g < glyphs; g++ {
-			if _, err := sb.Call("glyph", uint64(g)); err != nil {
+			if _, err := inst.Invoke("glyph", uint64(g)); err != nil {
 				panic(err)
 			}
 		}
-		return sb.SimulatedNanos() / 1e6
+		return inst.Mach.Stats.Nanos(&inst.Mach.Cost) / 1e6
 	}
 
-	// The unsandboxed baseline still runs on the simulated machine —
-	// it is the same library without instrumentation.
-	native := renderNative(k, glyphs)
-	classic := render(core.Options{FSGSBASE: true}, true)
-	segue := render(core.Options{Segue: true, FSGSBASE: true}, true)
-	segueOld := render(core.Options{Segue: true, FSGSBASE: false}, true)
+	native := render(sfi.ModeNative, true)
+	classic := render(sfi.ModeGuard, true)
+	segue := render(sfi.ModeSegue, true)
+	segueOld := render(sfi.ModeSegue, false)
 
 	fmt.Printf("Rendering %d glyphs through the sandboxed font library:\n\n", glyphs)
 	fmt.Printf("  %-36s %8.2f ms\n", "unsandboxed", native)
@@ -61,24 +58,4 @@ func main() {
 			(classic-segue)/(classic-native)*100)
 	}
 	fmt.Println("(paper §6.1: 264 ms -> 356 ms sandboxed -> 287 ms with Segue, 75% eliminated)")
-}
-
-// renderNative measures the uninstrumented baseline. The core API
-// always isolates (it is a sandboxing library), so the baseline uses
-// the runtime layer directly with the native compilation mode.
-func renderNative(k workloads.Kernel, glyphs int) float64 {
-	mod, err := rt.CompileModule(k.Build(false), sfi.DefaultConfig(sfi.ModeNative))
-	if err != nil {
-		panic(err)
-	}
-	inst, err := rt.NewInstance(mod, rt.InstanceOptions{FSGSBASE: true})
-	if err != nil {
-		panic(err)
-	}
-	for g := 0; g < glyphs; g++ {
-		if _, err := inst.Invoke("glyph", uint64(g)); err != nil {
-			panic(err)
-		}
-	}
-	return inst.Mach.Stats.Nanos(&inst.Mach.Cost) / 1e6
 }

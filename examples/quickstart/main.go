@@ -6,8 +6,9 @@ package main
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/ir"
+	"repro/internal/rt"
+	"repro/internal/sfi"
 )
 
 // buildChecksum returns a module computing a rolling checksum over a
@@ -44,25 +45,23 @@ func main() {
 	fmt.Println("quickstart: one module, three compilations")
 	fmt.Println()
 
-	type variant struct {
+	variants := []struct {
 		name string
-		opts core.Options
-	}
-	variants := []variant{
-		{"classic SFI (guard pages)", core.Options{FSGSBASE: true}},
-		{"Segue", core.Options{Segue: true, FSGSBASE: true}},
-		{"explicit bounds checks", core.Options{BoundsChecks: true, FSGSBASE: true}},
+		mode sfi.Mode
+	}{
+		{"classic SFI (guard pages)", sfi.ModeGuard},
+		{"Segue", sfi.ModeSegue},
+		{"explicit bounds checks", sfi.ModeBoundsCheck},
 	}
 
 	var first uint64
 	var firstNs float64
 	for vi, v := range variants {
-		eng := core.NewEngine(v.opts)
-		cm, err := eng.Compile(module)
+		mod, err := rt.CompileModule(module, sfi.DefaultConfig(v.mode))
 		if err != nil {
 			panic(err)
 		}
-		sb, err := eng.Instantiate(cm, nil)
+		inst, err := rt.NewInstance(mod, rt.InstanceOptions{FSGSBASE: true})
 		if err != nil {
 			panic(err)
 		}
@@ -71,29 +70,28 @@ func main() {
 		for i := range buf {
 			buf[i] = byte(i * 31)
 		}
-		if err := sb.MemWrite(0, buf); err != nil {
+		if err := (&rt.HostCall{Inst: inst}).MemWrite(0, buf); err != nil {
 			panic(err)
 		}
 
-		res, err := sb.Call("checksum", 8000)
+		res, err := inst.Invoke("checksum", 8000)
 		if err != nil {
 			panic(err)
 		}
-		ns := sb.SimulatedNanos()
+		ns := inst.Mach.Stats.Nanos(&inst.Mach.Cost)
 		if vi == 0 {
 			first, firstNs = res[0], ns
 		} else if res[0] != first {
 			panic("variants disagree on the checksum")
 		}
 		fmt.Printf("  %-28s checksum=%#x  code=%5d B  simulated=%8.1f µs  (%.2fx)\n",
-			v.name, res[0], cm.CodeBytes(), ns/1e3, ns/firstNs)
+			v.name, res[0], mod.Prog.CodeBytes(), ns/1e3, ns/firstNs)
 	}
 
 	fmt.Println()
 	fmt.Println("Out-of-bounds accesses trap deterministically:")
-	eng := core.NewEngine(core.Options{Segue: true, FSGSBASE: true})
-	cm, _ := eng.Compile(buildChecksum())
-	sb, _ := eng.Instantiate(cm, nil)
-	_, err := sb.Call("checksum", 1<<29) // reads far past the 128 KiB memory
+	mod, _ := rt.CompileModule(buildChecksum(), sfi.DefaultConfig(sfi.ModeSegue))
+	inst, _ := rt.NewInstance(mod, rt.InstanceOptions{FSGSBASE: true})
+	_, err := inst.Invoke("checksum", 1<<29) // reads far past the 128 KiB memory
 	fmt.Printf("  checksum(2^29) -> %v\n", err)
 }

@@ -15,7 +15,6 @@ func FromScratch(as *mem.AS, prog *Program) *Machine {
 		Cost:         DefaultCostModel(),
 		Prog:         prog,
 		Hosts:        prog.Hosts,
-		Tier:         DefaultTier(),
 		MaxCallDepth: 10000,
 		bpred:        make([]uint8, 1<<14),
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/cache"
 	"repro/internal/mem"
@@ -19,22 +18,23 @@ import (
 // dispatch loop.
 type Tier uint8
 
-// Execution tiers, from oracle to most optimized.
+// Execution tiers. The zero value is the fused tier, so a new or
+// recycled Machine runs fused unless its owner sets Tier.
 const (
+	// TierFused runs the decoded loop (machine_decoded.go) on the
+	// Program's decoded stream until a lightweight profile pass
+	// identifies hot code, then on the fused overlay (fuse.go): a clone
+	// of that stream with superinstruction groups, built once per
+	// Program and shared by every Machine running it.
+	TierFused Tier = iota
+	// TierFast runs the same loop on the decoded stream (decode.go)
+	// only.
+	TierFast
 	// TierSlow is the original portable interpreter: operand kinds,
 	// segment bases, and encoded lengths are re-resolved on every step.
 	// It is the differential-testing oracle the other tiers are pinned
 	// against.
-	TierSlow Tier = iota
-	// TierFast runs the decoded loop (machine_decoded.go) on the
-	// Program's decoded stream (decode.go).
-	TierFast
-	// TierFused runs the same loop on the decoded stream until a
-	// lightweight profile pass identifies hot code, then on the fused
-	// overlay (fuse.go): a clone of that stream with superinstruction
-	// groups, built once per Program and shared by every Machine
-	// running it.
-	TierFused
+	TierSlow
 )
 
 // String returns the tier's flag spelling.
@@ -64,21 +64,6 @@ func ParseTier(s string) (Tier, error) {
 		return TierFast, fmt.Errorf("cpu: unknown tier %q (want slow, fast, or fused)", s)
 	}
 }
-
-// defaultTier is the tier NewMachine assigns. It lets benchmark drivers
-// and servers select an engine process-wide without threading a flag
-// through every instantiation site.
-var defaultTier atomic.Uint32
-
-func init() { defaultTier.Store(uint32(TierFused)) }
-
-// SetDefaultTier selects the tier newly constructed Machines use.
-// Machines that already exist are unaffected; per-machine Tier
-// assignments still override the default.
-func SetDefaultTier(t Tier) { defaultTier.Store(uint32(t)) }
-
-// DefaultTier returns the tier NewMachine currently assigns.
-func DefaultTier() Tier { return Tier(defaultTier.Load()) }
 
 // ArgRegs is the internal calling convention's integer argument
 // registers (SysV order). Float arguments use xmm0..xmm5 by position.
@@ -139,9 +124,10 @@ type Machine struct {
 	// slice so the compiled Program stays immutable and shareable.
 	Hosts []HostFunc
 
-	// Tier selects the execution engine (see the Tier constants). The
-	// slow tier is kept as the differential-testing oracle; all tiers
-	// produce bit-identical state and Stats.
+	// Tier selects the execution engine (see the Tier constants); the
+	// zero value is TierFused. The slow tier is kept as the
+	// differential-testing oracle; all tiers produce bit-identical
+	// state and Stats.
 	Tier Tier
 
 	frames []frame
@@ -240,7 +226,6 @@ func (m *Machine) bind(as *mem.AS, prog *Program) *Machine {
 	m.Cost = DefaultCostModel()
 	m.Prog = prog
 	m.Hosts = prog.Hosts
-	m.Tier = DefaultTier()
 	m.MaxCallDepth = 10000
 	return m
 }
@@ -619,9 +604,8 @@ var (
 //
 // Tier chooses the engine and the stream: TierSlow is the original
 // portable loop, the differential-testing oracle; TierFast runs the
-// decoded loop on the Program's decoded stream; TierFused (what
-// NewMachine assigns unless SetDefaultTier says otherwise) runs the
-// same loop, profiling on the decoded stream until the fused overlay
+// decoded loop on the Program's decoded stream; TierFused (the zero
+// value, what NewMachine hands out) runs the same loop, profiling on the decoded stream until the fused overlay
 // is built and on the overlay afterwards. All tiers produce
 // bit-identical architectural state and Stats.
 func (m *Machine) Run() error {

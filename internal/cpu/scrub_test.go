@@ -45,6 +45,7 @@ func TestScrubLeavesBlankMachine(t *testing.T) {
 	m.Hosts = []HostFunc{func(*Machine) error { return nil }}
 	m.frames = append(m.frames, frame{fn: 1, pc: 2})
 	m.profLeft = 7
+	m.Tier = TierSlow // scrub hands the next owner the zero value, fused
 
 	v := reflect.ValueOf(m).Elem()
 	for i := 0; i < v.NumField(); i++ {
@@ -72,7 +73,7 @@ func TestScrubLeavesBlankMachine(t *testing.T) {
 	}
 	// The machine the free list would hand out next.
 	b := m.bind(mem.NewAS(47), &Program{Funcs: []*Func{loop}})
-	if b.AS == as || b.Cost != DefaultCostModel() || b.MaxCallDepth != 10000 || b.Tier != DefaultTier() {
+	if b.AS == as || b.Cost != DefaultCostModel() || b.MaxCallDepth != 10000 || b.Tier != TierFused {
 		t.Fatalf("bind: %+v", b.Cost)
 	}
 }

@@ -15,7 +15,7 @@ import (
 // classic SFI, register-only Segue (freed GPR + segment-carried base
 // addition), loads-only, and full Segue (operand-slot folding + free
 // truncation).
-func AblationSegueParts() (*report.Table, error) {
+func (o Options) AblationSegueParts() (*report.Table, error) {
 	k, err := workloads.Spec2006().Find("464_h264ref")
 	if err != nil {
 		return nil, err
@@ -24,20 +24,20 @@ func AblationSegueParts() (*report.Table, error) {
 		name string
 		cfg  sfi.Config
 	}{
-		{"guard (classic SFI)", sfi.DefaultConfig(sfi.ModeGuard)},
+		{"guard (classic SFI)", o.config(sfi.ModeGuard)},
 		{"segue register-only", func() sfi.Config {
-			c := sfi.DefaultConfig(sfi.ModeSegue)
+			c := o.config(sfi.ModeSegue)
 			c.FoldOperandSlot = false
 			return c
 		}()},
 		{"segue loads-only", func() sfi.Config {
-			c := sfi.DefaultConfig(sfi.ModeSegue)
+			c := o.config(sfi.ModeSegue)
 			c.SegueLoadsOnly = true
 			return c
 		}()},
-		{"segue full", sfi.DefaultConfig(sfi.ModeSegue)},
+		{"segue full", o.config(sfi.ModeSegue)},
 		{"segue hybrid (cost function)", func() sfi.Config {
-			c := sfi.DefaultConfig(sfi.ModeSegue)
+			c := o.config(sfi.ModeSegue)
 			c.Hybrid = true
 			return c
 		}()},
@@ -47,11 +47,11 @@ func AblationSegueParts() (*report.Table, error) {
 		Headers: []string{"configuration", "normalized", "insts", "code bytes"},
 		Notes:   []string{"each step recovers part of the gap to native (1.0)"},
 	}
-	cells := []cell{{k, sfi.DefaultConfig(sfi.ModeNative), k.Args}}
+	cells := []cell{{k, o.config(sfi.ModeNative), k.Args}}
 	for _, c := range cfgs {
 		cells = append(cells, cell{k, c.cfg, k.Args})
 	}
-	ms, errs := measureCells(cells)
+	ms, errs := o.measureCells(cells)
 	if err := firstErr(errs); err != nil {
 		return nil, err
 	}
@@ -67,18 +67,18 @@ func AblationSegueParts() (*report.Table, error) {
 // trade-offs of guard geometries: classic 4+4 GiB guards, Wasmtime's
 // 2+2 GiB shared pre-guard scheme, and explicit bounds checks (no
 // guards at all).
-func AblationGuardGeometry() (*report.Table, error) {
+func (o Options) AblationGuardGeometry() (*report.Table, error) {
 	k, err := workloads.Spec2006().Find("462_libquantum")
 	if err != nil {
 		return nil, err
 	}
-	signedCfg := sfi.DefaultConfig(sfi.ModeGuard)
+	signedCfg := o.config(sfi.ModeGuard)
 	signedCfg.SignedOffset = true
-	ms, errs := measureCells([]cell{
-		{k, sfi.DefaultConfig(sfi.ModeNative), k.Args},
-		{k, sfi.DefaultConfig(sfi.ModeGuard), k.Args},
+	ms, errs := o.measureCells([]cell{
+		{k, o.config(sfi.ModeNative), k.Args},
+		{k, o.config(sfi.ModeGuard), k.Args},
 		{k, signedCfg, k.Args},
-		{k, sfi.DefaultConfig(sfi.ModeBoundsCheck), k.Args},
+		{k, o.config(sfi.ModeBoundsCheck), k.Args},
 	})
 	if err := firstErr(errs); err != nil {
 		return nil, err
@@ -111,7 +111,7 @@ func AblationGuardGeometry() (*report.Table, error) {
 
 // AblationStripeCount sweeps the available MPK keys to show the
 // density frontier ColorGuard opens.
-func AblationStripeCount() (*report.Table, error) {
+func (o Options) AblationStripeCount() (*report.Table, error) {
 	budget := uint64(85) << 40
 	maxMem := uint64(408) << 20
 	guard := uint64(6)<<30 - maxMem
@@ -141,19 +141,19 @@ func AblationStripeCount() (*report.Table, error) {
 // without FSGSBASE, every segment-base write is an arch_prctl system
 // call, which hurts transition-heavy workloads like per-glyph font
 // rendering.
-func AblationFSGSBASE() (*report.Table, error) {
+func (o Options) AblationFSGSBASE() (*report.Table, error) {
 	k, err := workloads.Firefox().Find("font")
 	if err != nil {
 		return nil, err
 	}
 	measure := func(fsgsbase bool) (float64, error) {
 		mod, err := rt.CompileModuleCached(
-			rt.ModuleKey{Name: k.Name, Cfg: sfi.DefaultConfig(sfi.ModeSegue)},
+			rt.ModuleKey{Name: k.Name, Cfg: o.config(sfi.ModeSegue)},
 			func() *ir.Module { return k.Build(false) })
 		if err != nil {
 			return 0, err
 		}
-		inst, err := rt.NewInstance(mod, rt.InstanceOptions{FSGSBASE: fsgsbase})
+		inst, err := o.instance(mod, rt.InstanceOptions{FSGSBASE: fsgsbase})
 		if err != nil {
 			return 0, err
 		}
@@ -166,7 +166,7 @@ func AblationFSGSBASE() (*report.Table, error) {
 		addSimCycles(inst.Mach.Stats.Cycles)
 		return inst.Mach.Stats.Nanos(&inst.Mach.Cost) / glyphs, nil
 	}
-	res, errs := parallelMap([]bool{true, false}, measure)
+	res, errs := parallelMap(o, []bool{true, false}, measure)
 	if err := firstErr(errs); err != nil {
 		return nil, err
 	}

@@ -23,7 +23,7 @@ import (
 // The load is deliberately non-saturating (the queue column must be a
 // stable property of the configuration, not of queue blow-up), and
 // cold starts are on so the placement phase is populated.
-func Attribution() (*report.Table, error) {
+func (o Options) Attribution() (*report.Table, error) {
 	kinds := []struct {
 		kind  isolation.Kind
 		procs int
@@ -54,7 +54,7 @@ func Attribution() (*report.Table, error) {
 		cfg.ColdStart = true
 		cfg.InstanceBytes = 4 << 10
 		cfg.RecordPhases = true
-		return faas.Run(cfg)
+		return o.simulate(cfg)
 	}
 
 	// mean phase shares per completed request, with entry+exit folded
@@ -76,7 +76,7 @@ func Attribution() (*report.Table, error) {
 		return s
 	}
 
-	rows, errs := parallelMap(cells, func(c cell) ([]string, error) {
+	rows, errs := parallelMap(o, cells, func(c cell) ([]string, error) {
 		r := run(c)
 		if r.Completed == 0 {
 			return nil, fmt.Errorf("exp: attribution %s/%s completed no requests", c.scheme, c.kind)

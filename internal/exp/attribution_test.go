@@ -32,6 +32,6 @@ func TestGoldenTablesWithAttribution(t *testing.T) {
 	}
 	for _, id := range ids {
 		id := id
-		t.Run(id, func(t *testing.T) { checkGolden(t, id) })
+		t.Run(id, func(t *testing.T) { checkGolden(t, id, Options{}) })
 	}
 }

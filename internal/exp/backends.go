@@ -14,7 +14,7 @@ import (
 // (408 MB memories in 85 TiB). It is the paper's comparison collapsed
 // onto the Backend interface: every number comes from the same cost
 // models the runtime and the FaaS simulator charge.
-func BackendMatrix() (*report.Table, error) {
+func (o Options) BackendMatrix() (*report.Table, error) {
 	const memKiB = uint64(64 << 10)
 	budget := uint64(85) << 40
 	maxMem := uint64(408) << 20

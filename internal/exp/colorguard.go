@@ -31,15 +31,15 @@ func nopModule() *ir.Module {
 
 // TransitionCost reproduces §6.4.1: the per-transition cost without and
 // with ColorGuard's PKRU switch.
-func TransitionCost() (*report.Table, error) {
+func (o Options) TransitionCost() (*report.Table, error) {
 	measure := func(pkey uint8) (float64, error) {
 		mod, err := rt.CompileModuleCached(
-			rt.ModuleKey{Name: "nop", Cfg: sfi.DefaultConfig(sfi.ModeSegue)},
+			rt.ModuleKey{Name: "nop", Cfg: o.config(sfi.ModeSegue)},
 			nopModule)
 		if err != nil {
 			return 0, err
 		}
-		inst, err := rt.NewInstance(mod, rt.InstanceOptions{FSGSBASE: true, Place: isolation.Colored(pkey)})
+		inst, err := o.instance(mod, rt.InstanceOptions{FSGSBASE: true, Place: isolation.Colored(pkey)})
 		if err != nil {
 			return 0, err
 		}
@@ -54,7 +54,7 @@ func TransitionCost() (*report.Table, error) {
 		// body by measuring the whole and dividing per transition.
 		return inst.Mach.Stats.Nanos(&inst.Mach.Cost) / (2 * reps), nil
 	}
-	res, errs := parallelMap([]uint8{0, 5}, measure)
+	res, errs := parallelMap(o, []uint8{0, 5}, measure)
 	if err := firstErr(errs); err != nil {
 		return nil, err
 	}
@@ -74,7 +74,7 @@ func TransitionCost() (*report.Table, error) {
 
 // ScalingSlots reproduces §6.4.2: slot counts for 408 MB slots in a
 // fixed address budget, without and with ColorGuard striping.
-func ScalingSlots() (*report.Table, error) {
+func (o Options) ScalingSlots() (*report.Table, error) {
 	budget := uint64(85) << 40
 	maxMem := uint64(408) << 20
 	guard := uint64(6)<<30 - maxMem
@@ -109,7 +109,7 @@ func ScalingSlots() (*report.Table, error) {
 // on the emulator and returns the simulation workload descriptions.
 // Per request: one batch of the handler's natural unit (a full URL set
 // for filtering/balancing, a page render for templating).
-func faasWorkloads() ([]faas.Workload, error) {
+func (o Options) faasWorkloads() ([]faas.Workload, error) {
 	defs := []struct {
 		kernel string
 		batch  uint64
@@ -119,7 +119,7 @@ func faasWorkloads() ([]faas.Workload, error) {
 		{"hash-load-balance", 256, 40},
 		{"regex-filtering", 280, 48},
 	}
-	out, errs := parallelMap(defs, func(d struct {
+	out, errs := parallelMap(o, defs, func(d struct {
 		kernel string
 		batch  uint64
 		pages  int
@@ -128,7 +128,7 @@ func faasWorkloads() ([]faas.Workload, error) {
 		if err != nil {
 			return faas.Workload{}, err
 		}
-		m, err := MeasureKernel(k, sfi.DefaultConfig(sfi.ModeSegue), []uint64{d.batch})
+		m, err := o.MeasureKernel(k, o.config(sfi.ModeSegue), []uint64{d.batch})
 		if err != nil {
 			return faas.Workload{}, err
 		}
@@ -140,10 +140,20 @@ func faasWorkloads() ([]faas.Workload, error) {
 	return out, nil
 }
 
+// gainVsMultiprocess runs the Figure 6 comparison: ColorGuard in one
+// process versus n-process scaling on the same load, returning the
+// percentage throughput gain and both results. The two sides are the
+// same simulation under two isolation-backend cost models.
+func (o Options) gainVsMultiprocess(w faas.Workload, n int) (gainPct float64, cg, mp faas.Result) {
+	cg = o.simulate(faas.SchemeConfig(w, isolation.ColorGuard, o.Scheme, 1))
+	mp = o.simulate(faas.SchemeConfig(w, isolation.MultiProc, o.Scheme, n))
+	return (cg.ThroughputRPS/mp.ThroughputRPS - 1) * 100, cg, mp
+}
+
 // Fig6Throughput runs the ColorGuard-vs-multiprocess scaling comparison
 // for the three FaaS workloads across 1..15 processes.
-func Fig6Throughput() (*report.Table, error) {
-	ws, err := faasWorkloads()
+func (o Options) Fig6Throughput() (*report.Table, error) {
+	ws, err := o.faasWorkloads()
 	if err != nil {
 		return nil, err
 	}
@@ -154,11 +164,11 @@ func Fig6Throughput() (*report.Table, error) {
 	}
 	// Each process count is an independent pair of simulations; build
 	// the rows in parallel and append them in order.
-	rows, errs := parallelMap([]int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15},
+	rows, errs := parallelMap(o, []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15},
 		func(n int) ([]string, error) {
 			row := []string{fmt.Sprintf("%d", n)}
 			for _, w := range ws {
-				gain, _, _ := faas.GainVsMultiprocess(w, n)
+				gain, _, _ := o.gainVsMultiprocess(w, n)
 				row = append(row, fmt.Sprintf("%.1f", gain))
 			}
 			return row, nil
@@ -172,17 +182,17 @@ func Fig6Throughput() (*report.Table, error) {
 
 // Fig7aContextSwitches reports the context-switch counts behind the
 // throughput difference.
-func Fig7aContextSwitches() (*report.Table, error) {
-	return fig7(true)
+func (o Options) Fig7aContextSwitches() (*report.Table, error) {
+	return o.fig7(true)
 }
 
 // Fig7bDTLBMisses reports the dTLB miss counts.
-func Fig7bDTLBMisses() (*report.Table, error) {
-	return fig7(false)
+func (o Options) Fig7bDTLBMisses() (*report.Table, error) {
+	return o.fig7(false)
 }
 
-func fig7(switches bool) (*report.Table, error) {
-	ws, err := faasWorkloads()
+func (o Options) fig7(switches bool) (*report.Table, error) {
+	ws, err := o.faasWorkloads()
 	if err != nil {
 		return nil, err
 	}
@@ -197,11 +207,11 @@ func fig7(switches bool) (*report.Table, error) {
 	for _, w := range ws {
 		t.Headers = append(t.Headers, w.Name+" (mp)", w.Name+" (cg)")
 	}
-	rows, errs := parallelMap([]int{1, 3, 5, 7, 9, 11, 13, 15},
+	rows, errs := parallelMap(o, []int{1, 3, 5, 7, 9, 11, 13, 15},
 		func(n int) ([]string, error) {
 			row := []string{fmt.Sprintf("%d", n)}
 			for _, w := range ws {
-				_, cg, mp := faas.GainVsMultiprocess(w, n)
+				_, cg, mp := o.gainVsMultiprocess(w, n)
 				if switches {
 					row = append(row, fmt.Sprintf("%.1fK", float64(mp.CtxSwitches)/1e3), fmt.Sprintf("%.1fK", float64(cg.CtxSwitches)/1e3))
 				} else {
@@ -221,7 +231,7 @@ func fig7(switches bool) (*report.Table, error) {
 // the slot-layout computation finds the saturating-add bug and the
 // missing preconditions in the legacy code, and nothing in the fixed
 // version.
-func Table1Verification() (*report.Table, error) {
+func (o Options) Table1Verification() (*report.Table, error) {
 	legacy := verify.Verify(pool.ComputeLayoutLegacy, 4000, 42)
 	fixed := verify.Verify(pool.ComputeLayout, 4000, 42)
 	t := &report.Table{
@@ -252,7 +262,7 @@ func Table1Verification() (*report.Table, error) {
 // rows are the MTE backend with and without the preserving madvise. The
 // costs come out of the same Allocate/Recycle accounting the FaaS
 // simulator consumes.
-func MTEObservations() (*report.Table, error) {
+func (o Options) MTEObservations() (*report.Table, error) {
 	const size = 65536
 	const instances = 40
 	run := func(kind isolation.Kind, preserve bool) (initNs, teardownNs float64) {

@@ -15,9 +15,10 @@ import (
 // accumulation order — the acceptance bar for routing rt, faas, and exp
 // through internal/isolation.
 
-// checkGolden runs one experiment the way benchtab does (cold module
-// cache) and compares its rendered table against the golden bytes.
-func checkGolden(t *testing.T, id string) {
+// checkGolden runs one experiment under o the way benchtab does (cold
+// module cache) and compares its rendered table against the golden
+// bytes.
+func checkGolden(t *testing.T, id string, o Options) {
 	t.Helper()
 	golden, err := os.ReadFile(filepath.Join("testdata", "golden", id+".txt"))
 	if err != nil {
@@ -28,7 +29,7 @@ func checkGolden(t *testing.T, id string) {
 		t.Fatalf("unknown experiment %q", id)
 	}
 	rt.ResetModuleCache()
-	tab, err := e.Run()
+	tab, err := e.Run(o)
 	if err != nil {
 		t.Fatalf("%s: %v", id, err)
 	}
@@ -58,7 +59,7 @@ func TestGoldenTables(t *testing.T) {
 		"hardening",
 	} {
 		id := id
-		t.Run(id, func(t *testing.T) { checkGolden(t, id) })
+		t.Run(id, func(t *testing.T) { checkGolden(t, id, Options{}) })
 	}
 }
 
@@ -80,6 +81,6 @@ func TestGoldenTablesHeavy(t *testing.T) {
 		"table2",
 	} {
 		id := id
-		t.Run(id, func(t *testing.T) { checkGolden(t, id) })
+		t.Run(id, func(t *testing.T) { checkGolden(t, id, Options{}) })
 	}
 }

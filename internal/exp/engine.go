@@ -20,38 +20,20 @@ import (
 // address space, own machine), and the only shared state — the module
 // compile cache and the sim-cycle counter — is concurrency-safe.
 
-// parallelismOverride holds the configured worker count; 0 means
-// runtime.NumCPU().
-var parallelismOverride atomic.Int64
-
-// SetParallelism sets the engine's worker count. n <= 0 restores the
-// default of runtime.NumCPU(). The root bench harness and cmd/benchtab
-// expose this as -j.
-func SetParallelism(n int) {
-	if n < 0 {
-		n = 0
-	}
-	parallelismOverride.Store(int64(n))
-}
-
-// Parallelism returns the effective worker count.
-func Parallelism() int {
-	if n := parallelismOverride.Load(); n > 0 {
-		return int(n)
-	}
-	return runtime.NumCPU()
-}
-
-// parallelMap applies f to every item on the engine's worker pool and
-// returns the results and errors indexed like items. Every item runs
-// even when another fails, so callers can walk the error slice in
-// serial-iteration order and report exactly the error a serial run
-// would have hit first, independent of goroutine scheduling.
-func parallelMap[T, R any](items []T, f func(T) (R, error)) ([]R, []error) {
+// parallelMap applies f to every item on a pool of o.Jobs workers
+// (runtime.NumCPU() when zero) and returns the results and errors
+// indexed like items. Every item runs even when another fails, so
+// callers can walk the error slice in serial-iteration order and report
+// exactly the error a serial run would have hit first, independent of
+// goroutine scheduling.
+func parallelMap[T, R any](o Options, items []T, f func(T) (R, error)) ([]R, []error) {
 	n := len(items)
 	res := make([]R, n)
 	errs := make([]error, n)
-	workers := Parallelism()
+	workers := o.Jobs
+	if workers <= 0 {
+		workers = runtime.NumCPU()
+	}
 	if workers > n {
 		workers = n
 	}
@@ -141,8 +123,8 @@ type cell struct {
 
 // measureCells measures every cell across the worker pool, results in
 // cell order.
-func measureCells(cells []cell) ([]Measurement, []error) {
-	return parallelMap(cells, func(c cell) (Measurement, error) {
-		return MeasureKernel(c.Kernel, c.Cfg, c.Args)
+func (o Options) measureCells(cells []cell) ([]Measurement, []error) {
+	return parallelMap(o, cells, func(c cell) (Measurement, error) {
+		return o.MeasureKernel(c.Kernel, c.Cfg, c.Args)
 	})
 }

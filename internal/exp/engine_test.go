@@ -42,13 +42,12 @@ func TestParallelMatchesSerial(t *testing.T) {
 	}
 
 	run := func(workers int) ([]Measurement, string) {
-		SetParallelism(workers)
-		defer SetParallelism(0)
-		ms, errs := measureCells(cells)
+		o := Options{Jobs: workers}
+		ms, errs := o.measureCells(cells)
 		if err := firstErr(errs); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		tab, _, err := normalizedSuiteVs(suite, sfi.DefaultConfig(sfi.ModeNative), configs, names)
+		tab, _, err := o.normalizedSuiteVs(suite, sfi.DefaultConfig(sfi.ModeNative), configs, names)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -78,14 +77,10 @@ func TestParallelErrorDeterminism(t *testing.T) {
 	bad.Entry = "no-such-export"
 	suite.Kernels[1] = bad
 
-	var errSerial, errPar error
-	SetParallelism(1)
-	_, _, errSerial = normalizedSuiteVs(suite, sfi.DefaultConfig(sfi.ModeNative),
+	_, _, errSerial := Options{Jobs: 1}.normalizedSuiteVs(suite, sfi.DefaultConfig(sfi.ModeNative),
 		[]sfi.Config{sfi.DefaultConfig(sfi.ModeSegue)}, []string{"segue"})
-	SetParallelism(4)
-	_, _, errPar = normalizedSuiteVs(suite, sfi.DefaultConfig(sfi.ModeNative),
+	_, _, errPar := Options{Jobs: 4}.normalizedSuiteVs(suite, sfi.DefaultConfig(sfi.ModeNative),
 		[]sfi.Config{sfi.DefaultConfig(sfi.ModeSegue)}, []string{"segue"})
-	SetParallelism(0)
 
 	if errSerial == nil || errPar == nil {
 		t.Fatalf("expected errors, got serial=%v parallel=%v", errSerial, errPar)
@@ -103,7 +98,7 @@ func TestEngineUsesCompileCache(t *testing.T) {
 	suite := smallSuite()
 	k := suite.Kernels[0]
 	for i := 0; i < 3; i++ {
-		if _, err := MeasureKernel(k, sfi.DefaultConfig(sfi.ModeSegue), k.Args); err != nil {
+		if _, err := (Options{}).MeasureKernel(k, sfi.DefaultConfig(sfi.ModeSegue), k.Args); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
-// Package exp implements one function per table and figure in the
-// paper's evaluation (§6, §7): each runs the corresponding experiment
-// on the simulated machine and returns a report.Table with the same
+// Package exp implements one method of Options per table and figure in
+// the paper's evaluation (§6, §7): each runs the corresponding
+// experiment on the simulated machine, under the configuration the
+// Options value carries, and returns a report.Table with the same
 // rows/series the paper presents. cmd/benchtab, the root bench harness,
 // and the EXPERIMENTS.md generator all drive this registry.
 package exp
@@ -12,7 +13,10 @@ import (
 	"sync/atomic"
 
 	"repro/internal/cpu"
+	"repro/internal/faas"
+	"repro/internal/fault"
 	"repro/internal/ir"
+	"repro/internal/isolation"
 	"repro/internal/report"
 	"repro/internal/rt"
 	"repro/internal/sfi"
@@ -20,6 +24,58 @@ import (
 	"repro/internal/telemetry"
 	"repro/internal/workloads"
 )
+
+// Options is the configuration an experiment runs under, passed by
+// value so that two configurations can run side by side in one process.
+// The zero value is the configuration every golden table was captured
+// in: the fused tier, the default transition scheme, no hardening, no
+// injected faults, one worker per CPU.
+type Options struct {
+	// Tier is the execution tier of every instance the experiment runs.
+	Tier cpu.Tier
+	// Scheme is the transition scheme of every instance and FaaS
+	// simulation that does not choose its own (empty = SchemeDefault).
+	Scheme isolation.Scheme
+	// Harden is the Spectre hardening of every SFI configuration the
+	// experiment derives from a mode; configurations that set their own
+	// Harden keep it.
+	Harden sfi.Harden
+	// Faults arms fault injection in every FaaS simulation whose own
+	// Config.Faults is not armed.
+	Faults fault.Config
+	// Jobs is the experiment engine's worker count (0 = NumCPU).
+	Jobs int
+}
+
+// config is sfi.DefaultConfig(mode) under o's hardening.
+func (o Options) config(mode sfi.Mode) sfi.Config {
+	c := sfi.DefaultConfig(mode)
+	c.Harden = o.Harden
+	return c
+}
+
+// instance creates an instance of mod on o's tier. An instance whose
+// options name no scheme crosses under o's.
+func (o Options) instance(mod *rt.Module, opts rt.InstanceOptions) (*rt.Instance, error) {
+	if opts.Scheme == "" {
+		opts.Scheme = o.Scheme
+	}
+	inst, err := rt.NewInstance(mod, opts)
+	if err != nil {
+		return nil, err
+	}
+	inst.Mach.Tier = o.Tier
+	return inst, nil
+}
+
+// simulate runs one FaaS simulation, armed with o's faults unless cfg
+// arms its own.
+func (o Options) simulate(cfg faas.Config) faas.Result {
+	if !cfg.Faults.Armed() && o.Faults.Armed() {
+		cfg.Faults = o.Faults
+	}
+	return faas.Run(cfg)
+}
 
 // Measurement is one kernel execution's outcome.
 type Measurement struct {
@@ -57,8 +113,9 @@ func TakeSimCycles() float64 { return math.Float64frombits(simCycleBits.Swap(0))
 // measurements of one (kernel, config) cell skip recompilation;
 // instances are always fresh and their machines indistinguishable from
 // new ones (closing the instance hands the machine to the next cell),
-// keeping cells independent.
-func MeasureKernel(k workloads.Kernel, cfg sfi.Config, args []uint64) (Measurement, error) {
+// keeping cells independent. The instance runs on o's tier and scheme;
+// cfg is used as given.
+func (o Options) MeasureKernel(k workloads.Kernel, cfg sfi.Config, args []uint64) (Measurement, error) {
 	native := cfg.Mode == sfi.ModeNative
 	variant := native && k.PtrSensitive
 	mod, err := rt.CompileModuleCached(
@@ -67,7 +124,7 @@ func MeasureKernel(k workloads.Kernel, cfg sfi.Config, args []uint64) (Measureme
 	if err != nil {
 		return Measurement{}, fmt.Errorf("exp: %s/%v: %w", k.Name, cfg.Mode, err)
 	}
-	inst, err := rt.NewInstance(mod, rt.InstanceOptions{FSGSBASE: true})
+	inst, err := o.instance(mod, rt.InstanceOptions{FSGSBASE: true})
 	if err != nil {
 		return Measurement{}, err
 	}
@@ -98,8 +155,8 @@ func MeasureKernel(k workloads.Kernel, cfg sfi.Config, args []uint64) (Measureme
 // normalizing cycles to the native baseline. Checksums are
 // cross-checked between configurations (except for pointer-sensitive
 // kernels, whose native build is a different program).
-func normalizedSuite(suite workloads.Suite, configs []sfi.Config, names []string) (*report.Table, []map[string]float64, error) {
-	return normalizedSuiteVs(suite, sfi.DefaultConfig(sfi.ModeNative), configs, names)
+func (o Options) normalizedSuite(suite workloads.Suite, configs []sfi.Config, names []string) (*report.Table, []map[string]float64, error) {
+	return o.normalizedSuiteVs(suite, o.config(sfi.ModeNative), configs, names)
 }
 
 // normalizedSuiteVs is normalizedSuite with an explicit native baseline
@@ -110,7 +167,7 @@ func normalizedSuite(suite workloads.Suite, configs []sfi.Config, names []string
 // serial execution order (per kernel: baseline, then each config) and
 // results are collected in that order, so the table, the checksum
 // cross-checks, and any reported error match a serial run exactly.
-func normalizedSuiteVs(suite workloads.Suite, baseCfg sfi.Config, configs []sfi.Config, names []string) (*report.Table, []map[string]float64, error) {
+func (o Options) normalizedSuiteVs(suite workloads.Suite, baseCfg sfi.Config, configs []sfi.Config, names []string) (*report.Table, []map[string]float64, error) {
 	cells := make([]cell, 0, len(suite.Kernels)*(1+len(configs)))
 	for _, k := range suite.Kernels {
 		cells = append(cells, cell{k, baseCfg, k.Args})
@@ -118,7 +175,7 @@ func normalizedSuiteVs(suite workloads.Suite, baseCfg sfi.Config, configs []sfi.
 			cells = append(cells, cell{k, cfg, k.Args})
 		}
 	}
-	ms, errs := measureCells(cells)
+	ms, errs := o.measureCells(cells)
 
 	t := &report.Table{Headers: append([]string{"benchmark"}, names...)}
 	norms := make([]map[string]float64, len(configs))
@@ -185,38 +242,38 @@ func overheadEliminated(base, opt float64) float64 {
 type Experiment struct {
 	ID    string
 	Title string
-	Run   func() (*report.Table, error)
+	Run   func(Options) (*report.Table, error)
 }
 
 // All returns the experiment registry in paper order.
 func All() []Experiment {
 	return []Experiment{
-		{"fig1", "Segue code generation on the Figure 1 patterns", Fig1Patterns},
-		{"fig3", "SPEC CPU 2006 on Wasm2c, normalized to native (Figure 3)", Fig3SpecWasm2c},
-		{"boundsnote", "Segue under explicit bounds checks (§6.1 note)", BoundsCheckSegue},
-		{"table2", "Compiled binary sizes, SPEC CPU 2006 (Table 2)", Table2BinarySize},
-		{"firefox-font", "Firefox font rendering (§6.1)", FirefoxFont},
-		{"firefox-xml", "Firefox XML parsing (§6.1)", FirefoxXML},
-		{"fig4", "Sightglass on WAMR (Figure 4)", Fig4SightglassWAMR},
-		{"polybench", "PolybenchC on WAMR (§6.2)", PolybenchWAMR},
-		{"dhrystone", "Dhrystone on WAMR (§6.2)", DhrystoneWAMR},
-		{"fig5", "SPEC CPU 2017 on LFI, normalized to native (Figure 5)", Fig5SpecLFI},
-		{"transition", "Transition cost microbenchmark (§6.4.1)", TransitionCost},
-		{"transitions", "Transition schemes across isolation backends", TransitionSchemes},
-		{"attribution", "Per-request latency attribution by phase", Attribution},
-		{"scaling", "Slot-scaling microbenchmark (§6.4.2)", ScalingSlots},
-		{"fig6", "ColorGuard vs multiprocess throughput (Figure 6)", Fig6Throughput},
-		{"fig7a", "Context switches (Figure 7a)", Fig7aContextSwitches},
-		{"fig7b", "dTLB misses (Figure 7b)", Fig7bDTLBMisses},
-		{"table1", "Allocator-layout verification (Table 1 / §5.2)", Table1Verification},
-		{"mte", "ColorGuard on ARM MTE (§7)", MTEObservations},
-		{"backend-matrix", "Isolation-backend cost and density matrix", BackendMatrix},
-		{"hardening", "Spectre-hardening tax across SFI modes and backends (Swivel)", SwivelHardening},
-		{"faultsweep", "Fault injection and graceful degradation by backend", FaultSweep},
-		{"ablation-segue", "Ablation: decomposing Segue's benefits", AblationSegueParts},
-		{"ablation-guards", "Ablation: guard geometry vs density", AblationGuardGeometry},
-		{"ablation-stripes", "Ablation: stripe count vs slot density", AblationStripeCount},
-		{"ablation-fsgsbase", "Ablation: FSGSBASE vs syscall segment writes", AblationFSGSBASE},
+		{"fig1", "Segue code generation on the Figure 1 patterns", Options.Fig1Patterns},
+		{"fig3", "SPEC CPU 2006 on Wasm2c, normalized to native (Figure 3)", Options.Fig3SpecWasm2c},
+		{"boundsnote", "Segue under explicit bounds checks (§6.1 note)", Options.BoundsCheckSegue},
+		{"table2", "Compiled binary sizes, SPEC CPU 2006 (Table 2)", Options.Table2BinarySize},
+		{"firefox-font", "Firefox font rendering (§6.1)", Options.FirefoxFont},
+		{"firefox-xml", "Firefox XML parsing (§6.1)", Options.FirefoxXML},
+		{"fig4", "Sightglass on WAMR (Figure 4)", Options.Fig4SightglassWAMR},
+		{"polybench", "PolybenchC on WAMR (§6.2)", Options.PolybenchWAMR},
+		{"dhrystone", "Dhrystone on WAMR (§6.2)", Options.DhrystoneWAMR},
+		{"fig5", "SPEC CPU 2017 on LFI, normalized to native (Figure 5)", Options.Fig5SpecLFI},
+		{"transition", "Transition cost microbenchmark (§6.4.1)", Options.TransitionCost},
+		{"transitions", "Transition schemes across isolation backends", Options.TransitionSchemes},
+		{"attribution", "Per-request latency attribution by phase", Options.Attribution},
+		{"scaling", "Slot-scaling microbenchmark (§6.4.2)", Options.ScalingSlots},
+		{"fig6", "ColorGuard vs multiprocess throughput (Figure 6)", Options.Fig6Throughput},
+		{"fig7a", "Context switches (Figure 7a)", Options.Fig7aContextSwitches},
+		{"fig7b", "dTLB misses (Figure 7b)", Options.Fig7bDTLBMisses},
+		{"table1", "Allocator-layout verification (Table 1 / §5.2)", Options.Table1Verification},
+		{"mte", "ColorGuard on ARM MTE (§7)", Options.MTEObservations},
+		{"backend-matrix", "Isolation-backend cost and density matrix", Options.BackendMatrix},
+		{"hardening", "Spectre-hardening tax across SFI modes and backends (Swivel)", Options.SwivelHardening},
+		{"faultsweep", "Fault injection and graceful degradation by backend", Options.FaultSweep},
+		{"ablation-segue", "Ablation: decomposing Segue's benefits", Options.AblationSegueParts},
+		{"ablation-guards", "Ablation: guard geometry vs density", Options.AblationGuardGeometry},
+		{"ablation-stripes", "Ablation: stripe count vs slot density", Options.AblationStripeCount},
+		{"ablation-fsgsbase", "Ablation: FSGSBASE vs syscall segment writes", Options.AblationFSGSBASE},
 	}
 }
 
@@ -229,25 +286,3 @@ func ByID(id string) (Experiment, bool) {
 	}
 	return Experiment{}, false
 }
-
-// instanceStats is a helper for experiments needing machine counters
-// beyond MeasureKernel's summary.
-func runOnInstance(k workloads.Kernel, cfg sfi.Config, opts rt.InstanceOptions, args []uint64) (*rt.Instance, error) {
-	mod, err := rt.CompileModuleCached(
-		rt.ModuleKey{Name: k.Name, Cfg: cfg},
-		func() *ir.Module { return k.Build(false) })
-	if err != nil {
-		return nil, err
-	}
-	inst, err := rt.NewInstance(mod, opts)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := inst.Invoke(k.Entry, args...); err != nil {
-		return nil, err
-	}
-	addSimCycles(inst.Mach.Stats.Cycles)
-	return inst, nil
-}
-
-var _ = cpu.DefaultCostModel // keep cpu linked for cost constants used across files

@@ -34,7 +34,7 @@ func TestFastExperiments(t *testing.T) {
 		if !ok {
 			t.Fatalf("missing %s", id)
 		}
-		tab, err := e.Run()
+		tab, err := e.Run(Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
@@ -55,7 +55,7 @@ func TestFastExperiments(t *testing.T) {
 // TestTransitionNumbers pins the §6.4.1 reproduction: the ColorGuard
 // delta must stay at the WRPKRU cost (≈20 ns at 2.2 GHz).
 func TestTransitionNumbers(t *testing.T) {
-	tab, err := TransitionCost()
+	tab, err := Options{}.TransitionCost()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestTransitionNumbers(t *testing.T) {
 
 // TestScalingNumbers pins §6.4.2's ≈15x.
 func TestScalingNumbers(t *testing.T) {
-	tab, err := ScalingSlots()
+	tab, err := Options{}.ScalingSlots()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestScalingNumbers(t *testing.T) {
 // rather than return zeroed measurements.
 func TestMeasureKernelErrors(t *testing.T) {
 	e, _ := ByID("fig1")
-	if _, err := e.Run(); err != nil {
+	if _, err := e.Run(Options{}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -22,7 +22,7 @@ import (
 // fire; its throughput must match the clean simulator exactly, which
 // is the inertness property TestGoldenTablesWithFaultsOff pins across
 // the whole golden set.
-func FaultSweep() (*report.Table, error) {
+func (o Options) FaultSweep() (*report.Table, error) {
 	// Synthetic per-request cost: no emulator measurement, so the sweep
 	// is cheap and the golden depends only on the simulator and the
 	// isolation cost models.
@@ -52,10 +52,10 @@ func FaultSweep() (*report.Table, error) {
 		t.Headers = append(t.Headers, b.name+" rps", b.name+" fail%")
 	}
 
-	rows, errs := parallelMap(rates, func(rate float64) ([]string, error) {
+	rows, errs := parallelMap(o, rates, func(rate float64) ([]string, error) {
 		row := []string{fmt.Sprintf("%.3f", rate)}
 		for _, b := range backends {
-			cfg := faas.KindConfig(w, b.kind, b.procs)
+			cfg := faas.SchemeConfig(w, b.kind, o.Scheme, b.procs)
 			cfg.ColdStart = true
 			cfg.InstanceBytes = 64 << 10
 			cfg.ArrivalsPerEpoch = 5
@@ -68,7 +68,7 @@ func FaultSweep() (*report.Table, error) {
 				QueueLimit:  512,
 				Breaker:     fault.BreakerConfig{FailureThreshold: 64, OpenNs: 5e6},
 			}
-			r := faas.Run(cfg)
+			r := o.simulate(cfg)
 			failPct := 100 * float64(r.Shed+r.Failed+r.TimedOut) / float64(r.Offered)
 			row = append(row, fmt.Sprintf("%.0f", r.ThroughputRPS), fmt.Sprintf("%.2f", failPct))
 		}

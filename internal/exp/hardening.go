@@ -26,7 +26,7 @@ import (
 // only), 445_gobmk is call-heavy (return flushes), indirect-dispatch
 // makes an indirect call per loop iteration (Swivel-SFI's worst case),
 // and regex-filtering is the FaaS mix's representative.
-func SwivelHardening() (*report.Table, error) {
+func (o Options) SwivelHardening() (*report.Table, error) {
 	spec := workloads.Spec2006()
 	lbm, err := spec.Find("470_lbm")
 	if err != nil {
@@ -61,13 +61,13 @@ func SwivelHardening() (*report.Table, error) {
 	for _, kk := range kernels {
 		for _, h := range hardens {
 			for _, mode := range modes {
-				cfg := sfi.DefaultConfig(mode)
+				cfg := o.config(mode)
 				cfg.Harden = h
 				cells = append(cells, cell{kk.k, cfg, kk.args})
 			}
 		}
 	}
-	ms, errs := measureCells(cells)
+	ms, errs := o.measureCells(cells)
 	if err := firstErr(errs); err != nil {
 		return nil, err
 	}
@@ -84,7 +84,7 @@ func SwivelHardening() (*report.Table, error) {
 	for ki, kk := range kernels {
 		for mi, mode := range modes {
 			legacy := sfi.Config{Mode: mode, FoldOperandSlot: true, FoldDispLimit: 1 << 30}
-			lm, err := MeasureKernel(kk.k, legacy, kk.args)
+			lm, err := o.MeasureKernel(kk.k, legacy, kk.args)
 			if err != nil {
 				return nil, err
 			}
@@ -161,10 +161,10 @@ func SwivelHardening() (*report.Table, error) {
 			ComputeNs: at(regexIdx, hi, mi).Nanos * scale,
 			Pages:     48,
 		}
-		cfg := faas.KindConfig(w, kind, procs)
+		cfg := faas.SchemeConfig(w, kind, o.Scheme, procs)
 		cfg.ArrivalsPerEpoch = 250
 		cfg.DurationNs = 0.5e9
-		return faas.Run(cfg).ThroughputRPS
+		return o.simulate(cfg).ThroughputRPS
 	}
 	backends := []struct {
 		kind  isolation.Kind

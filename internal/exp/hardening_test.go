@@ -32,8 +32,6 @@ func isHardenOp(op x86.Op) bool {
 // zero hardening opcodes in the output, and bit-identical cycles and
 // checksums on every execution tier.
 func TestHardenNoneBitExact(t *testing.T) {
-	prev := cpu.DefaultTier()
-	defer cpu.SetDefaultTier(prev)
 	for _, mode := range []sfi.Mode{sfi.ModeGuard, sfi.ModeSegue} {
 		for _, k := range hardenTestKernels(t) {
 			legacy := sfi.Config{Mode: mode, FoldOperandSlot: true, FoldDispLimit: 1 << 30}
@@ -73,12 +71,12 @@ func TestHardenNoneBitExact(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, tier := range []cpu.Tier{cpu.TierSlow, cpu.TierFast, cpu.TierFused} {
-				cpu.SetDefaultTier(tier)
 				run := func(mod *rt.Module) (uint64, float64) {
 					inst, err := rt.NewInstance(mod, rt.InstanceOptions{FSGSBASE: true})
 					if err != nil {
 						t.Fatal(err)
 					}
+					inst.Mach.Tier = tier
 					res, err := inst.Invoke(k.Entry, k.TestArgs...)
 					if err != nil {
 						t.Fatal(err)
@@ -100,8 +98,6 @@ func TestHardenNoneBitExact(t *testing.T) {
 // hardening scheme: slow, fast, and fused must charge the hardening
 // pseudo-ops identically — bit-identical cycles and checksums.
 func TestHardenTierDifferential(t *testing.T) {
-	prev := cpu.DefaultTier()
-	defer cpu.SetDefaultTier(prev)
 	for _, h := range sfi.Hardens() {
 		for _, mode := range []sfi.Mode{sfi.ModeGuard, sfi.ModeSegue} {
 			for _, k := range hardenTestKernels(t) {
@@ -114,11 +110,11 @@ func TestHardenTierDifferential(t *testing.T) {
 				var wantSum uint64
 				var wantCycles float64
 				for i, tier := range []cpu.Tier{cpu.TierSlow, cpu.TierFast, cpu.TierFused} {
-					cpu.SetDefaultTier(tier)
 					inst, err := rt.NewInstance(mod, rt.InstanceOptions{FSGSBASE: true})
 					if err != nil {
 						t.Fatal(err)
 					}
+					inst.Mach.Tier = tier
 					res, err := inst.Invoke(k.Entry, k.TestArgs...)
 					if err != nil {
 						t.Fatal(err)

@@ -34,36 +34,36 @@ func fig1Module() *ir.Module {
 // extra addressing operand is not exploited (FoldOperandSlot false) but
 // the base register is freed and the heap-base addition rides the
 // segment. wamrSegueLoads is the loads-only tuning.
-func wamrBase() sfi.Config {
-	c := sfi.DefaultConfig(sfi.ModeGuard)
+func (o Options) wamrBase() sfi.Config {
+	c := o.config(sfi.ModeGuard)
 	c.Vectorize = true
 	return c
 }
 
 // wamrNative is the native baseline for the WAMR comparisons: clang
 // vectorizes the same loops WAMR's pass targets.
-func wamrNative() sfi.Config {
-	c := sfi.DefaultConfig(sfi.ModeNative)
+func (o Options) wamrNative() sfi.Config {
+	c := o.config(sfi.ModeNative)
 	c.Vectorize = true
 	return c
 }
 
-func wamrSegue() sfi.Config {
-	c := sfi.DefaultConfig(sfi.ModeSegue)
+func (o Options) wamrSegue() sfi.Config {
+	c := o.config(sfi.ModeSegue)
 	c.FoldOperandSlot = false
 	c.Vectorize = true
 	return c
 }
 
-func wamrSegueLoads() sfi.Config {
-	c := wamrSegue()
+func (o Options) wamrSegueLoads() sfi.Config {
+	c := o.wamrSegue()
 	c.SegueLoadsOnly = true
 	return c
 }
 
 // Fig1Patterns reproduces the Figure 1 listing comparison: instruction
 // count and encoded bytes of the two access patterns per mode.
-func Fig1Patterns() (*report.Table, error) {
+func (o Options) Fig1Patterns() (*report.Table, error) {
 	m := fig1Module()
 	t := &report.Table{
 		ID: "fig1", Title: "Figure 1 patterns: instructions / bytes per access",
@@ -73,7 +73,7 @@ func Fig1Patterns() (*report.Table, error) {
 	for fi, name := range []string{"int-to-ptr deref", "struct array read"} {
 		row := []string{name}
 		for _, mode := range []sfi.Mode{sfi.ModeNative, sfi.ModeGuard, sfi.ModeSegue} {
-			prog, _, err := sfi.Compile(m, sfi.DefaultConfig(mode))
+			prog, _, err := sfi.Compile(m, o.config(mode))
 			if err != nil {
 				return nil, err
 			}
@@ -87,9 +87,9 @@ func Fig1Patterns() (*report.Table, error) {
 
 // Fig3SpecWasm2c runs SPEC CPU 2006 under the Wasm2c-style full-Segue
 // toolchain: normalized runtimes for guard SFI and Segue.
-func Fig3SpecWasm2c() (*report.Table, error) {
-	t, norms, err := normalizedSuite(workloads.Spec2006(),
-		[]sfi.Config{sfi.DefaultConfig(sfi.ModeGuard), sfi.DefaultConfig(sfi.ModeSegue)},
+func (o Options) Fig3SpecWasm2c() (*report.Table, error) {
+	t, norms, err := o.normalizedSuite(workloads.Spec2006(),
+		[]sfi.Config{o.config(sfi.ModeGuard), o.config(sfi.ModeSegue)},
 		[]string{"wasm2c", "wasm2c+segue"})
 	if err != nil {
 		return nil, err
@@ -105,9 +105,9 @@ func Fig3SpecWasm2c() (*report.Table, error) {
 
 // BoundsCheckSegue covers the §6.1 note: engines using explicit bounds
 // checks (e.g. for memory64) also benefit from Segue.
-func BoundsCheckSegue() (*report.Table, error) {
-	t, norms, err := normalizedSuite(workloads.Spec2006(),
-		[]sfi.Config{sfi.DefaultConfig(sfi.ModeBoundsCheck), sfi.DefaultConfig(sfi.ModeBoundsSegue)},
+func (o Options) BoundsCheckSegue() (*report.Table, error) {
+	t, norms, err := o.normalizedSuite(workloads.Spec2006(),
+		[]sfi.Config{o.config(sfi.ModeBoundsCheck), o.config(sfi.ModeBoundsSegue)},
 		[]string{"bounds-check", "bounds-check+segue"})
 	if err != nil {
 		return nil, err
@@ -121,7 +121,7 @@ func BoundsCheckSegue() (*report.Table, error) {
 }
 
 // Table2BinarySize compares compiled code sizes with and without Segue.
-func Table2BinarySize() (*report.Table, error) {
+func (o Options) Table2BinarySize() (*report.Table, error) {
 	t := &report.Table{
 		ID: "table2", Title: "Compiled binary sizes of SPEC CPU 2006",
 		Headers: []string{"benchmark", "wasm2c", "wasm2c+segue", "reduction"},
@@ -131,10 +131,10 @@ func Table2BinarySize() (*report.Table, error) {
 	var cells []cell
 	for _, k := range kernels {
 		cells = append(cells,
-			cell{k, sfi.DefaultConfig(sfi.ModeGuard), k.TestArgs},
-			cell{k, sfi.DefaultConfig(sfi.ModeSegue), k.TestArgs})
+			cell{k, o.config(sfi.ModeGuard), k.TestArgs},
+			cell{k, o.config(sfi.ModeSegue), k.TestArgs})
 	}
-	ms, errs := measureCells(cells)
+	ms, errs := o.measureCells(cells)
 	var reductions []float64
 	for i, k := range kernels {
 		g, s := ms[2*i], ms[2*i+1]
@@ -156,7 +156,7 @@ func Table2BinarySize() (*report.Table, error) {
 // guard, and Segue compilation, reporting per-invocation costs and the
 // overhead Segue eliminates. perCall selects the per-glyph invocation
 // pattern (each call transitions) versus batch parsing.
-func firefoxTimes(kernelName, entry string, calls int, arg uint64) (*report.Table, error) {
+func (o Options) firefoxTimes(kernelName, entry string, calls int, arg uint64) (*report.Table, error) {
 	k, err := workloads.Firefox().Find(kernelName)
 	if err != nil {
 		return nil, err
@@ -168,7 +168,7 @@ func firefoxTimes(kernelName, entry string, calls int, arg uint64) (*report.Tabl
 		if err != nil {
 			return 0, err
 		}
-		inst, err := rt.NewInstance(mod, rt.InstanceOptions{FSGSBASE: true})
+		inst, err := o.instance(mod, rt.InstanceOptions{FSGSBASE: true})
 		if err != nil {
 			return 0, err
 		}
@@ -186,10 +186,10 @@ func firefoxTimes(kernelName, entry string, calls int, arg uint64) (*report.Tabl
 	}
 	// The three configurations are independent single-instance runs; fan
 	// them out over the engine.
-	res, errs := parallelMap([]sfi.Config{
-		sfi.DefaultConfig(sfi.ModeNative),
-		sfi.DefaultConfig(sfi.ModeGuard),
-		sfi.DefaultConfig(sfi.ModeSegue),
+	res, errs := parallelMap(o, []sfi.Config{
+		o.config(sfi.ModeNative),
+		o.config(sfi.ModeGuard),
+		o.config(sfi.ModeSegue),
 	}, measure)
 	if err := firstErr(errs); err != nil {
 		return nil, err
@@ -212,8 +212,8 @@ func firefoxTimes(kernelName, entry string, calls int, arg uint64) (*report.Tabl
 // FirefoxFont reproduces the font-rendering benchmark: many short
 // sandbox invocations, one per glyph, so transition costs matter
 // (paper: 264 / 356 / 287 ms — Segue removes 75% of the overhead).
-func FirefoxFont() (*report.Table, error) {
-	t, err := firefoxTimes("font", "glyph", 1500, 0)
+func (o Options) FirefoxFont() (*report.Table, error) {
+	t, err := o.firefoxTimes("font", "glyph", 1500, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -224,8 +224,8 @@ func FirefoxFont() (*report.Table, error) {
 
 // FirefoxXML reproduces the XML-parsing benchmark: few, long
 // invocations (paper: 331 / 381 / 347 ms — 68% eliminated).
-func FirefoxXML() (*report.Table, error) {
-	t, err := firefoxTimes("xml", "run", 1, 120)
+func (o Options) FirefoxXML() (*report.Table, error) {
+	t, err := o.firefoxTimes("xml", "run", 1, 120)
 	if err != nil {
 		return nil, err
 	}
@@ -235,9 +235,9 @@ func FirefoxXML() (*report.Table, error) {
 }
 
 // Fig4SightglassWAMR runs Sightglass under the WAMR configurations.
-func Fig4SightglassWAMR() (*report.Table, error) {
-	t, norms, err := normalizedSuiteVs(workloads.Sightglass(), wamrNative(),
-		[]sfi.Config{wamrBase(), wamrSegue(), wamrSegueLoads()},
+func (o Options) Fig4SightglassWAMR() (*report.Table, error) {
+	t, norms, err := o.normalizedSuiteVs(workloads.Sightglass(), o.wamrNative(),
+		[]sfi.Config{o.wamrBase(), o.wamrSegue(), o.wamrSegueLoads()},
 		[]string{"wamr", "wamr+segue", "wamr+segue-loads"})
 	if err != nil {
 		return nil, err
@@ -257,11 +257,11 @@ func Fig4SightglassWAMR() (*report.Table, error) {
 // suite (§6.2). The paper reports Wasm 6% FASTER than native (an LLVM
 // codegen artifact we do not model); the reproduced claim is Segue's
 // relative improvement over stock WAMR.
-func PolybenchWAMR() (*report.Table, error) {
+func (o Options) PolybenchWAMR() (*report.Table, error) {
 	suite := workloads.Polybench()
 	suite.Kernels = suite.Kernels[:len(suite.Kernels)-1] // dhrystone reported separately
-	t, norms, err := normalizedSuiteVs(suite, wamrNative(),
-		[]sfi.Config{wamrBase(), wamrSegue()},
+	t, norms, err := o.normalizedSuiteVs(suite, o.wamrNative(),
+		[]sfi.Config{o.wamrBase(), o.wamrSegue()},
 		[]string{"wamr", "wamr+segue"})
 	if err != nil {
 		return nil, err
@@ -275,20 +275,20 @@ func PolybenchWAMR() (*report.Table, error) {
 }
 
 // DhrystoneWAMR runs the Dhrystone comparison (§6.2).
-func DhrystoneWAMR() (*report.Table, error) {
+func (o Options) DhrystoneWAMR() (*report.Table, error) {
 	k, err := workloads.Polybench().Find("dhrystone")
 	if err != nil {
 		return nil, err
 	}
-	base, err := MeasureKernel(k, sfi.DefaultConfig(sfi.ModeNative), k.Args)
+	base, err := o.MeasureKernel(k, o.config(sfi.ModeNative), k.Args)
 	if err != nil {
 		return nil, err
 	}
-	g, err := MeasureKernel(k, wamrBase(), k.Args)
+	g, err := o.MeasureKernel(k, o.wamrBase(), k.Args)
 	if err != nil {
 		return nil, err
 	}
-	s, err := MeasureKernel(k, wamrSegue(), k.Args)
+	s, err := o.MeasureKernel(k, o.wamrSegue(), k.Args)
 	if err != nil {
 		return nil, err
 	}
@@ -307,9 +307,9 @@ func DhrystoneWAMR() (*report.Table, error) {
 // Fig5SpecLFI runs SPEC CPU 2017 under the LFI x86-64 backend with and
 // without Segue (§6.3): data accesses change, control-flow
 // instrumentation stays.
-func Fig5SpecLFI() (*report.Table, error) {
-	t, norms, err := normalizedSuite(workloads.Spec2017(),
-		[]sfi.Config{sfi.DefaultConfig(sfi.ModeLFI), sfi.DefaultConfig(sfi.ModeLFISegue)},
+func (o Options) Fig5SpecLFI() (*report.Table, error) {
+	t, norms, err := o.normalizedSuite(workloads.Spec2017(),
+		[]sfi.Config{o.config(sfi.ModeLFI), o.config(sfi.ModeLFISegue)},
 		[]string{"lfi", "lfi+segue"})
 	if err != nil {
 		return nil, err

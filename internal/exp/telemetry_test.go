@@ -31,7 +31,7 @@ func TestGoldenTablesWithTelemetry(t *testing.T) {
 	}
 	for _, id := range ids {
 		id := id
-		t.Run(id, func(t *testing.T) { checkGolden(t, id) })
+		t.Run(id, func(t *testing.T) { checkGolden(t, id, Options{}) })
 	}
 
 	// The runs above must have left observations behind.
@@ -77,7 +77,7 @@ func TestTelemetryDisabledLeavesNoTrace(t *testing.T) {
 	telemetry.Default.Reset()
 	rt.ResetModuleCache()
 	e, _ := ByID("transition")
-	if _, err := e.Run(); err != nil {
+	if _, err := e.Run(Options{}); err != nil {
 		t.Fatal(err)
 	}
 	snap := telemetry.Default.Snapshot()

@@ -25,7 +25,7 @@ import (
 // The scheme only prices the convention half of a crossing, so
 // ColorGuard keeps its WRPKRU gap over guardpage in every row, and
 // multiproc's context-switch and cache-refill costs never move.
-func TransitionSchemes() (*report.Table, error) {
+func (o Options) TransitionSchemes() (*report.Table, error) {
 	kinds := []struct {
 		kind  isolation.Kind
 		procs int
@@ -55,16 +55,16 @@ func TransitionSchemes() (*report.Table, error) {
 	// the convention choice is visible in it.
 	w := faas.Workload{Name: "synthetic", ComputeNs: 5_000, Pages: 16}
 
-	rows, errs := parallelMap(cells, func(c cell) ([]string, error) {
+	rows, errs := parallelMap(o, cells, func(c cell) ([]string, error) {
 		model := isolation.TransitionForScheme(c.scheme, c.kind)
-		rtNs, err := measureSchemeTransition(c.scheme, c.kind)
+		rtNs, err := o.measureSchemeTransition(c.scheme, c.kind)
 		if err != nil {
 			return nil, err
 		}
 		cfg := faas.SchemeConfig(w, c.kind, c.scheme, c.procs)
 		cfg.ArrivalsPerEpoch = 250
 		cfg.DurationNs = 0.5e9
-		r := faas.Run(cfg)
+		r := o.simulate(cfg)
 		return []string{
 			string(c.scheme),
 			string(c.kind),
@@ -105,9 +105,9 @@ func TransitionSchemes() (*report.Table, error) {
 // measureSchemeTransition runs the nop microbenchmark on an instance
 // placed in a backend reserved under the scheme and returns the
 // measured ns per transition (two transitions per invoke).
-func measureSchemeTransition(scheme isolation.Scheme, kind isolation.Kind) (float64, error) {
+func (o Options) measureSchemeTransition(scheme isolation.Scheme, kind isolation.Kind) (float64, error) {
 	mod, err := rt.CompileModuleCached(
-		rt.ModuleKey{Name: "nop", Cfg: sfi.DefaultConfig(sfi.ModeSegue)},
+		rt.ModuleKey{Name: "nop", Cfg: o.config(sfi.ModeSegue)},
 		nopModule)
 	if err != nil {
 		return 0, err
@@ -133,9 +133,10 @@ func measureSchemeTransition(scheme isolation.Scheme, kind isolation.Kind) (floa
 	if err != nil {
 		return 0, err
 	}
-	inst, err := rt.NewInstance(mod, rt.InstanceOptions{
+	inst, err := o.instance(mod, rt.InstanceOptions{
 		FSGSBASE: true,
 		Place:    isolation.Place(b, slot),
+		Scheme:   scheme,
 	})
 	if err != nil {
 		return 0, err

@@ -28,7 +28,6 @@ package faas
 
 import (
 	"container/heap"
-	"sync/atomic"
 
 	"repro/internal/cache"
 	"repro/internal/fault"
@@ -70,8 +69,8 @@ type Config struct {
 
 	// Scheme is the transition calling-convention scheme behind Trans.
 	// It only participates in cost derivation when Trans is zero (the
-	// Config constructors resolve Trans eagerly); empty means the
-	// process default.
+	// Config constructors resolve Trans eagerly); empty means
+	// SchemeDefault.
 	Scheme isolation.Scheme
 
 	// Lifecycle is the per-slot init/recycle cost model, charged per
@@ -122,37 +121,17 @@ type Config struct {
 	Seed uint64
 }
 
-// defaultFaults, when non-nil, is applied to any Run whose
-// Config.Faults is the zero value. It exists so tests and tools can
-// arm the fault machinery process-wide underneath experiments that
-// build their own Configs (exp.TestGoldenTablesWithFaultsOff arms an
-// all-zero-rate config this way to prove the wired paths are inert).
-var defaultFaults atomic.Pointer[fault.Config]
-
-// SetDefaultFaults installs (or, with nil, clears) a process-wide
-// fault configuration used by runs whose own Config.Faults is zero.
-func SetDefaultFaults(fc *fault.Config) {
-	if fc == nil {
-		defaultFaults.Store(nil)
-		return
-	}
-	cp := *fc
-	defaultFaults.Store(&cp)
-}
-
 // DefaultConfig returns the paper's simulation parameters around the
 // given workload, with the flag-derived cost model: plain or PKRU
-// transitions per the colorGuard flag under the process-default
-// transition scheme, and the standard context-switch/cache-refill
+// transitions per the colorGuard flag under SchemeDefault, and the standard context-switch/cache-refill
 // costs when processes contend.
 func DefaultConfig(w Workload, processes int, colorGuard bool) Config {
-	scheme := isolation.ResolveScheme("")
 	return Config{
 		Workload:         w,
 		Processes:        processes,
 		ColorGuard:       colorGuard,
-		Scheme:           scheme,
-		Trans:            flagTrans(scheme, colorGuard),
+		Scheme:           isolation.SchemeDefault,
+		Trans:            flagTrans(isolation.SchemeDefault, colorGuard),
 		EpochNs:          1e6,
 		IODelayMeanNs:    5e6,
 		ArrivalsPerEpoch: 40,
@@ -187,7 +166,7 @@ func KindConfig(w Workload, kind isolation.Kind, processes int) Config {
 
 // SchemeConfig is KindConfig generalized over the transition-scheme
 // axis: the same backend kind priced under an explicit calling
-// convention (empty = process default).
+// convention (empty = SchemeDefault).
 func SchemeConfig(w Workload, kind isolation.Kind, scheme isolation.Scheme, processes int) Config {
 	cfg := DefaultConfig(w, processes, kind == isolation.ColorGuard)
 	cfg.Scheme = isolation.ResolveScheme(scheme)
@@ -353,18 +332,12 @@ func Run(cfg Config) Result {
 	// and allocates nothing. It never advances the clock either way.
 	phasesOn := cfg.RecordPhases || telemetry.SpansEnabled()
 
-	// Fault machinery. A zero Faults config (and no process default)
-	// leaves faultsOn false, and every fault branch below is skipped:
-	// the run is byte-identical to the pre-fault simulator. An armed
-	// config with zero rates and disabled policies runs the branches
-	// but changes nothing — exp.TestGoldenTablesWithFaultsOff holds the
-	// golden tables to that.
+	// Fault machinery. A zero Faults config leaves faultsOn false, and
+	// every fault branch below is skipped: the run is byte-identical to
+	// the pre-fault simulator. An armed config with zero rates and
+	// disabled policies runs the branches but changes nothing —
+	// exp.TestGoldenTablesWithFaultsOff holds the golden tables to that.
 	fcfg := cfg.Faults
-	if !fcfg.Armed() {
-		if p := defaultFaults.Load(); p != nil {
-			fcfg = *p
-		}
-	}
 	faultsOn := fcfg.Armed()
 	var (
 		inj      *fault.Injector
@@ -747,15 +720,4 @@ func Run(cfg Config) Result {
 		}
 	}
 	return res
-}
-
-// GainVsMultiprocess runs the Figure 6 comparison: ColorGuard in one
-// process versus n-process scaling on the same load, returning the
-// percentage throughput gain and both results. The two sides are the
-// same simulation under two isolation-backend cost models.
-func GainVsMultiprocess(w Workload, n int) (gainPct float64, cg, mp Result) {
-	cg = Run(KindConfig(w, isolation.ColorGuard, 1))
-	mp = Run(KindConfig(w, isolation.MultiProc, n))
-	gainPct = (cg.ThroughputRPS/mp.ThroughputRPS - 1) * 100
-	return gainPct, cg, mp
 }

@@ -60,25 +60,6 @@ func TestFaultsArmedButIdleInert(t *testing.T) {
 	}
 }
 
-// TestSetDefaultFaultsApplies: the process-wide default arms runs whose
-// own Faults field is zero, and an explicit per-run config wins.
-func TestSetDefaultFaultsApplies(t *testing.T) {
-	def := fault.Config{Seed: 5, Rates: fault.Rates{Poisoned: 0.05}, MaxAttempts: 3}
-	SetDefaultFaults(&def)
-	defer SetDefaultFaults(nil)
-
-	viaDefault := Run(DefaultConfig(testWorkload, 1, true))
-	if viaDefault.FaultsInjected == 0 {
-		t.Error("process default did not arm the run")
-	}
-
-	explicit := DefaultConfig(testWorkload, 1, true)
-	explicit.Faults = fault.Config{Seed: 5} // armed, but nothing can fire
-	if r := Run(explicit); r.FaultsInjected != 0 {
-		t.Errorf("explicit config overridden by default: %d faults", r.FaultsInjected)
-	}
-}
-
 // TestFaultDeterminism: same seed and config twice gives identical
 // Results — including the degradation curve — and identical telemetry
 // snapshots, byte for byte.

@@ -4,23 +4,33 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/isolation"
 	"repro/internal/stats"
 )
 
 var testWorkload = Workload{Name: "test", ComputeNs: 28_000, Pages: 48}
+
+// gainVsMultiprocess runs the Figure 6 comparison: ColorGuard in one
+// process versus n-process scaling on the same load, returning the
+// percentage throughput gain and both results.
+func gainVsMultiprocess(w Workload, n int) (gainPct float64, cg, mp Result) {
+	cg = Run(KindConfig(w, isolation.ColorGuard, 1))
+	mp = Run(KindConfig(w, isolation.MultiProc, n))
+	return (cg.ThroughputRPS/mp.ThroughputRPS - 1) * 100, cg, mp
+}
 
 // TestFigure6Shape: the throughput gain of ColorGuard over n-process
 // scaling grows with n, peaking near the paper's ≈29% at 15 processes.
 func TestFigure6Shape(t *testing.T) {
 	prev := -5.0
 	for _, n := range []int{2, 4, 8, 12, 15} {
-		gain, _, _ := GainVsMultiprocess(testWorkload, n)
+		gain, _, _ := gainVsMultiprocess(testWorkload, n)
 		if gain < prev {
 			t.Errorf("gain at n=%d (%.2f%%) below gain at smaller n (%.2f%%): not monotone", n, gain, prev)
 		}
 		prev = gain
 	}
-	gain15, _, _ := GainVsMultiprocess(testWorkload, 15)
+	gain15, _, _ := gainVsMultiprocess(testWorkload, 15)
 	if gain15 < 20 || gain15 > 40 {
 		t.Errorf("gain at 15 processes = %.2f%%, want ≈29%%", gain15)
 	}
@@ -29,8 +39,8 @@ func TestFigure6Shape(t *testing.T) {
 // TestFigure7aShape: context switches grow with process count while
 // ColorGuard's stay at the constant background rate.
 func TestFigure7aShape(t *testing.T) {
-	_, cg4, mp4 := GainVsMultiprocess(testWorkload, 4)
-	_, cg15, mp15 := GainVsMultiprocess(testWorkload, 15)
+	_, cg4, mp4 := gainVsMultiprocess(testWorkload, 4)
+	_, cg15, mp15 := gainVsMultiprocess(testWorkload, 15)
 	if cg4.CtxSwitches != cg15.CtxSwitches {
 		t.Errorf("ColorGuard switch count should be constant: %d vs %d", cg4.CtxSwitches, cg15.CtxSwitches)
 	}
@@ -48,8 +58,8 @@ func TestFigure7aShape(t *testing.T) {
 // TestFigure7bShape: dTLB misses grow with process count faster than
 // under ColorGuard.
 func TestFigure7bShape(t *testing.T) {
-	_, cg, mp4 := GainVsMultiprocess(testWorkload, 4)
-	_, _, mp15 := GainVsMultiprocess(testWorkload, 15)
+	_, cg, mp4 := gainVsMultiprocess(testWorkload, 4)
+	_, _, mp15 := gainVsMultiprocess(testWorkload, 15)
 	if mp4.DTLBMisses <= cg.DTLBMisses {
 		t.Errorf("4-process dTLB misses (%d) should exceed ColorGuard (%d)", mp4.DTLBMisses, cg.DTLBMisses)
 	}

@@ -83,8 +83,8 @@ type Config struct {
 	PreserveTagsOnMadvise bool
 
 	// Scheme selects the transition calling-convention scheme the
-	// backend's TransitionCost is priced under. Empty means the process
-	// default (SchemeDefault unless SetDefaultScheme changed it).
+	// backend's TransitionCost is priced under. Empty means
+	// SchemeDefault.
 	Scheme Scheme
 }
 

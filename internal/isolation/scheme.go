@@ -1,9 +1,6 @@
 package isolation
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "fmt"
 
 // Scheme names a transition calling-convention scheme: how much
 // register and stack state a sandbox crossing saves, restores, and
@@ -51,10 +48,10 @@ func Schemes() []Scheme {
 }
 
 // ParseScheme maps a flag string to a Scheme; the empty string selects
-// the process default (see SetDefaultScheme).
+// SchemeDefault.
 func ParseScheme(s string) (Scheme, error) {
 	if s == "" {
-		return DefaultScheme(), nil
+		return SchemeDefault, nil
 	}
 	for _, sc := range Schemes() {
 		if sc == Scheme(s) {
@@ -64,33 +61,11 @@ func ParseScheme(s string) (Scheme, error) {
 	return "", fmt.Errorf("isolation: unknown transition scheme %q (want one of %v)", s, Schemes())
 }
 
-// defaultScheme is the process-wide scheme used wherever a Config or
-// InstanceOptions leaves the scheme empty. benchtab's -scheme flag sets
-// it so every experiment in a run shares one convention.
-var defaultScheme atomic.Value // Scheme
-
-// SetDefaultScheme installs the process-wide default transition scheme.
-// The empty string restores SchemeDefault.
-func SetDefaultScheme(s Scheme) {
-	if s == "" {
-		s = SchemeDefault
-	}
-	defaultScheme.Store(s)
-}
-
-// DefaultScheme returns the process-wide default transition scheme.
-func DefaultScheme() Scheme {
-	if s, ok := defaultScheme.Load().(Scheme); ok {
-		return s
-	}
-	return SchemeDefault
-}
-
-// ResolveScheme maps the empty scheme to the process default and leaves
-// every explicit scheme unchanged.
+// ResolveScheme maps the empty scheme to SchemeDefault and leaves every
+// explicit scheme unchanged.
 func ResolveScheme(s Scheme) Scheme {
 	if s == "" {
-		return DefaultScheme()
+		return SchemeDefault
 	}
 	return s
 }

@@ -8,7 +8,7 @@ import (
 )
 
 // TestParseScheme: every scheme name round-trips, the empty string
-// resolves to the process default, and unknown names are rejected.
+// resolves to SchemeDefault, and unknown names are rejected.
 func TestParseScheme(t *testing.T) {
 	for _, want := range Schemes() {
 		got, err := ParseScheme(string(want))
@@ -145,26 +145,5 @@ func TestBackendScheme(t *testing.T) {
 	}
 	if got, want := b.TransitionCost(), TransitionFor(GuardPage); got != want {
 		t.Errorf("empty Config.Scheme: TransitionCost() = %+v, want %+v", got, want)
-	}
-}
-
-// TestDefaultSchemeProcessWide: SetDefaultScheme changes what the empty
-// scheme resolves to (benchtab's -scheme flag), and the empty string
-// restores the built-in default.
-func TestDefaultSchemeProcessWide(t *testing.T) {
-	defer SetDefaultScheme("")
-	SetDefaultScheme(SchemeOneStack)
-	if got := ResolveScheme(""); got != SchemeOneStack {
-		t.Fatalf("ResolveScheme(\"\") = %v after SetDefaultScheme(onestack)", got)
-	}
-	if got := ResolveScheme(SchemeTrampoline); got != SchemeTrampoline {
-		t.Fatalf("ResolveScheme(trampoline) = %v, explicit schemes must not be overridden", got)
-	}
-	if got, want := TransitionForScheme("", GuardPage), TransitionForScheme(SchemeOneStack, GuardPage); got != want {
-		t.Fatalf("empty scheme under onestack default: %+v, want %+v", got, want)
-	}
-	SetDefaultScheme("")
-	if got := ResolveScheme(""); got != SchemeDefault {
-		t.Fatalf("ResolveScheme(\"\") = %v after reset", got)
 	}
 }

@@ -16,7 +16,6 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/colorguard"
 	"repro/internal/mem"
 )
 
@@ -94,6 +93,75 @@ var (
 	ErrUnaligned = errors.New("pool: size parameter not page-aligned")
 	ErrBadConfig = errors.New("pool: invalid configuration")
 )
+
+// ColorGuard's striping arithmetic (§3.2, §5.1): how many MPK colors a
+// slot/guard geometry needs, which color each slot gets, and the safety
+// property a striped slot sequence must satisfy.
+
+// maxKeys is the number of MPK protection keys usable for striping;
+// key 0 stays with the runtime, leaving 15 (the paper's 15× ceiling).
+const maxKeys = mem.NumPkeys - 1
+
+// stripeCount returns how many stripes (colors) are needed so that the
+// differently-colored slots following a sandbox cover its guard
+// requirement: guardBytes of space that the sandbox itself must never
+// be able to touch. In the simple case this is guard/slot + 1 — the
+// slots that fit into the guard range, plus the color of the protected
+// slot itself (§5.1).
+//
+// The result is clamped to the available keys; the caller must then
+// make up any uncovered remainder with real guard pages (invariant 5
+// of Table 1 captures the lower bound).
+func stripeCount(slotBytes, guardBytes uint64, keysAvailable int) int {
+	if keysAvailable > maxKeys {
+		keysAvailable = maxKeys
+	}
+	if keysAvailable < 2 || slotBytes == 0 {
+		return 1
+	}
+	want := int(ceilDiv(guardBytes, slotBytes)) + 1
+	if want > keysAvailable {
+		return keysAvailable
+	}
+	if want < 1 {
+		return 1
+	}
+	return want
+}
+
+// keyForSlot returns the MPK key for a slot index under the striping
+// pattern: colors cycle 1..stripes so identically-colored slots are
+// exactly stripes slots apart. Stripes of 1 mean no coloring (key 0).
+func keyForSlot(slot, stripes int) uint8 {
+	if stripes <= 1 {
+		return 0
+	}
+	return uint8(1 + slot%stripes)
+}
+
+// checkStriping verifies the core ColorGuard safety property on a
+// concrete slot sequence: any two slots with the same color must be at
+// least guardBytes apart, measured from the end of the first slot's
+// accessible memory (memBytes) to the start of the second, so an
+// out-of-bounds access from one can never reach the other.
+func checkStriping(slotAddrs []uint64, memBytes, guardBytes uint64, keyOf func(int) uint8) error {
+	for i := range slotAddrs {
+		for j := i + 1; j < len(slotAddrs); j++ {
+			if keyOf(i) != keyOf(j) {
+				continue
+			}
+			lo, hi := slotAddrs[i], slotAddrs[j]
+			if lo > hi {
+				lo, hi = hi, lo
+			}
+			if hi < lo+memBytes || hi-(lo+memBytes) < guardBytes {
+				return fmt.Errorf("pool: slots %d and %d share color %d only %d bytes apart (need %d)",
+					i, j, keyOf(i), hi-lo, guardBytes)
+			}
+		}
+	}
+	return nil
+}
 
 func alignUp(v, a uint64) uint64 { return (v + a - 1) &^ (a - 1) }
 
@@ -183,7 +251,7 @@ func ComputeLayout(cfg Config) (Layout, error) {
 		return Layout{}, err
 	}
 	base := alignUp(cfg.MaxMemoryBytes, OSPageSize)
-	stripes := colorguard.StripeCount(base, cfg.GuardBytes, cfg.Keys)
+	stripes := stripeCount(base, cfg.GuardBytes, cfg.Keys)
 	// A fixed slot count bounds the usable stripes up front; in the
 	// budget-filling case the computed count always exceeds the key
 	// count, so no recomputation is needed there.
@@ -283,7 +351,7 @@ func ComputeLayoutLegacy(cfg Config) (Layout, error) {
 	}
 	footprint := satAdd(expected, cfg.GuardBytes)
 	base := alignUp(cfg.MaxMemoryBytes, OSPageSize)
-	stripes := colorguard.StripeCount(base, cfg.GuardBytes, cfg.Keys)
+	stripes := stripeCount(base, cfg.GuardBytes, cfg.Keys)
 	var slot uint64
 	if stripes > 1 {
 		slot = alignUp(ceilDiv(footprint, uint64(stripes)), OSPageSize)
@@ -367,7 +435,7 @@ func (l Layout) Validate() error {
 		}
 	}
 	// 4: stripe count within keys and slots.
-	if l.NumStripes < 1 || l.NumStripes > colorguard.MaxKeys+1 || (l.NumSlots > 0 && l.NumStripes > l.NumSlots) {
+	if l.NumStripes < 1 || l.NumStripes > maxKeys+1 || (l.NumSlots > 0 && l.NumStripes > l.NumSlots) {
 		return fmt.Errorf("invariant 4 violated: %d stripes for %d slots", l.NumStripes, l.NumSlots)
 	}
 	// 5: minimum stripes for the guard requirement.

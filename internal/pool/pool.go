@@ -3,7 +3,6 @@ package pool
 import (
 	"fmt"
 
-	"repro/internal/colorguard"
 	"repro/internal/mem"
 )
 
@@ -66,7 +65,7 @@ func (p *Pool) SlotAddr(i int) uint64 {
 
 // KeyForSlot returns the MPK color of slot i under the pool's striping.
 func (p *Pool) KeyForSlot(i int) uint8 {
-	return colorguard.KeyForSlot(i, p.Layout.NumStripes)
+	return keyForSlot(i, p.Layout.NumStripes)
 }
 
 // ErrExhausted is returned when no slots are free.
@@ -155,7 +154,7 @@ func (p *Pool) CheckIsolation() error {
 		for i := range addrs {
 			addrs[i] = p.SlotAddr(i)
 		}
-		if err := colorguard.CheckStriping(addrs, l.MaxMemoryBytes, l.GuardBytes, p.KeyForSlot); err != nil {
+		if err := checkStriping(addrs, l.MaxMemoryBytes, l.GuardBytes, p.KeyForSlot); err != nil {
 			return err
 		}
 	} else if l.NumStripes > 1 {

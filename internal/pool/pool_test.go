@@ -3,6 +3,7 @@ package pool
 import (
 	"errors"
 	"testing"
+	"testing/quick"
 
 	"repro/internal/mem"
 )
@@ -317,4 +318,94 @@ func TestVMACountPressure(t *testing.T) {
 		t.Fatalf("err = %v, want map-count", lastErr)
 	}
 	t.Logf("allocated %d slots before hitting vm.max_map_count=40", allocated)
+}
+
+func TestStripeCount(t *testing.T) {
+	cases := []struct {
+		slot, guard uint64
+		keys, want  int
+	}{
+		{1 * gib, 7 * gib, 15, 8},            // Figure 2: 8 colors for 8x density
+		{1 * gib, 7 * gib, 4, 4},             // clamped by available keys
+		{2 * gib, 4 * gib, 15, 3},            // §5.1 example: (4/2)+1 = 3 colors
+		{4 * gib, 4 * gib, 15, 2},            // next slot covers the whole guard
+		{1 * gib, 0, 15, 1},                  // no guard requirement: no striping
+		{1 * gib, 7 * gib, 0, 1},             // no keys: no striping
+		{1 * gib, 7 * gib, 1, 1},             // one key is no striping
+		{408 << 20, 6<<30 - 408<<20, 15, 15}, // the §6.4.2 geometry
+	}
+	for _, c := range cases {
+		if got := stripeCount(c.slot, c.guard, c.keys); got != c.want {
+			t.Errorf("stripeCount(%d, %d, %d) = %d, want %d", c.slot, c.guard, c.keys, got, c.want)
+		}
+	}
+}
+
+func TestKeyForSlot(t *testing.T) {
+	// Colors cycle 1..stripes; key 0 stays with the runtime.
+	for slot := 0; slot < 40; slot++ {
+		k := keyForSlot(slot, 8)
+		if k < 1 || k > 8 {
+			t.Fatalf("slot %d: key %d out of range", slot, k)
+		}
+		if k != keyForSlot(slot+8, 8) {
+			t.Fatalf("slot %d and %d should share a color", slot, slot+8)
+		}
+		if k == keyForSlot(slot+1, 8) {
+			t.Fatalf("adjacent slots %d/%d share color %d", slot, slot+1, k)
+		}
+	}
+	if keyForSlot(5, 1) != 0 {
+		t.Error("unstriped pools should use key 0")
+	}
+}
+
+// TestCheckStriping: 8 slots of 1 GiB against a guard requirement.
+func TestCheckStriping(t *testing.T) {
+	addrs := make([]uint64, 8)
+	for i := range addrs {
+		addrs[i] = uint64(i) * gib
+	}
+	fourColors := func(i int) uint8 { return keyForSlot(i, 4) }
+	cases := []struct {
+		name  string
+		guard uint64
+		keyOf func(int) uint8
+		ok    bool
+	}{
+		{"four colors cover 3 GiB", 3 * gib, fourColors, true},
+		{"uniform coloring", 3 * gib, func(int) uint8 { return 1 }, false},
+		{"cycle short of 4 GiB", 4 * gib, fourColors, false},
+	}
+	for _, c := range cases {
+		if err := checkStriping(addrs, gib, c.guard, c.keyOf); (err == nil) != c.ok {
+			t.Errorf("%s: checkStriping = %v, want ok=%v", c.name, err, c.ok)
+		}
+	}
+}
+
+// TestStripingPropertyQuick: for any geometry, the striping pattern
+// keyForSlot with stripeCount colors satisfies checkStriping whenever
+// the stride covers the footprint — the core ColorGuard safety
+// argument, checked over random geometries.
+func TestStripingPropertyQuick(t *testing.T) {
+	f := func(slotMB, guardMB uint16, keys uint8, n uint8) bool {
+		slot := (uint64(slotMB)%512 + 1) << 20
+		guard := (uint64(guardMB) % 4096) << 20
+		stripes := stripeCount(slot, guard, int(keys)%15+1)
+		// The pool guarantees the stride covers footprint/stripes;
+		// emulate that adjustment here.
+		stride := slot + guard
+		if stripes > 1 {
+			stride = max(slot, ceilDiv(slot+guard, uint64(stripes)))
+		}
+		addrs := make([]uint64, int(n)%64+2)
+		for i := range addrs {
+			addrs[i] = uint64(i) * stride
+		}
+		return checkStriping(addrs, slot, guard, func(i int) uint8 { return keyForSlot(i, stripes) }) == nil
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
 }

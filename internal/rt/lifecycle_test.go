@@ -195,9 +195,7 @@ func observe(inst *Instance, out []uint64) instState {
 // stays equal through a second run. (TestResetBitExact compares the
 // checksum and the cycle count; this compares everything.)
 func TestResetEqualsFreshInstance(t *testing.T) {
-	defer cpu.SetDefaultTier(cpu.DefaultTier())
 	for _, tier := range []cpu.Tier{cpu.TierSlow, cpu.TierFast, cpu.TierFused} {
-		cpu.SetDefaultTier(tier) // Reset's machine takes the default, like a new instance's
 		for _, kn := range workloads.FaaS().Kernels {
 			k, mod := compileFaaS(t, kn.Name)
 			for _, kind := range isolation.Kinds() {
@@ -214,6 +212,7 @@ func TestResetEqualsFreshInstance(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
+				fresh.Mach.Tier = tier
 				slot := fresh.Slot().Index
 				want1, want2 := run(fresh), run(fresh)
 				if err := fresh.Close(); err != nil {
@@ -227,6 +226,7 @@ func TestResetEqualsFreshInstance(t *testing.T) {
 				if warm.Slot().Index != slot {
 					t.Fatalf("%s: slot %d, then slot %d", name, slot, warm.Slot().Index)
 				}
+				warm.Mach.Tier = tier // Reset's machine keeps it
 				run(warm)
 				run(warm)
 				if err := warm.Reset(); err != nil {

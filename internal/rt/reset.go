@@ -55,7 +55,8 @@ func (inst *Instance) initMemory() {
 // released and cpu.NewMachine hands back one indistinguishable from
 // new (on the same goroutine, normally the very same one, its cost
 // tables for this program still valid). The host bindings close over
-// the instance, not the machine, so they carry over. VMA protections and
+// the instance, not the machine, so they carry over, and so does the
+// instance's execution tier. VMA protections and
 // MPK colors are properties of the mappings, not the pages, so they
 // survive untouched; MTE granule tags live in the owning slab, which
 // Reset deliberately never touches (no teardown/re-tag charge — that
@@ -80,10 +81,10 @@ func (inst *Instance) Reset() error {
 		return err
 	}
 	inst.initMemory()
-	hosts := inst.Mach.Hosts
+	hosts, tier := inst.Mach.Hosts, inst.Mach.Tier
 	inst.Mach.Release()
 	inst.Mach = cpu.NewMachine(inst.AS, inst.Mod.Prog)
-	inst.Mach.Hosts = hosts
+	inst.Mach.Hosts, inst.Mach.Tier = hosts, tier
 	inst.Transitions = 0
 	inst.transInCycles = 0
 	inst.transOutCycles = 0

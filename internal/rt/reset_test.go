@@ -3,6 +3,7 @@ package rt
 import (
 	"testing"
 
+	"repro/internal/cpu"
 	"repro/internal/ir"
 	"repro/internal/isolation"
 	"repro/internal/mem"
@@ -140,5 +141,27 @@ func TestResetWithoutReset(t *testing.T) {
 	}
 	if out1[0] == out2[0] {
 		t.Fatalf("un-reset reuse produced identical checksums (%d); dirty-state hazard gone?", out1[0])
+	}
+}
+
+// TestResetKeepsTier: Reset swaps in a recycled machine, which must run
+// on the tier the instance's owner chose, not the zero-value tier a new
+// machine starts on.
+func TestResetKeepsTier(t *testing.T) {
+	k, err := workloads.FaaS().Find("regex-filtering")
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst, b := resetTestInstance(t, k, isolation.ColorGuard)
+	defer func() { inst.Close(); b.Release() }()
+	inst.Mach.Tier = cpu.TierSlow
+	if _, err := inst.Invoke(k.Entry, k.TestArgs...); err != nil {
+		t.Fatal(err)
+	}
+	if err := inst.Reset(); err != nil {
+		t.Fatal(err)
+	}
+	if got := inst.Mach.Tier; got != cpu.TierSlow {
+		t.Fatalf("tier after Reset = %v, want slow", got)
 	}
 }

@@ -43,15 +43,6 @@ var schemeCounters = func() map[isolation.Scheme]*telemetry.Counter {
 	return m
 }()
 
-// Per-tier instance counters (rt.tier.<tier>): how many instances were
-// created on each execution tier, so a -metrics snapshot shows the tier
-// mix alongside cpu.dispatch.*.
-var tierCounters = [...]*telemetry.Counter{
-	cpu.TierSlow:  telemetry.Default.Counter("rt.tier.slow"),
-	cpu.TierFast:  telemetry.Default.Counter("rt.tier.fast"),
-	cpu.TierFused: telemetry.Default.Counter("rt.tier.fused"),
-}
-
 // Module is a compiled module ready for instantiation.
 type Module struct {
 	IR   *ir.Module
@@ -131,7 +122,7 @@ type InstanceOptions struct {
 
 	// Scheme selects the transition calling-convention scheme the
 	// instance's crossings are charged under. Empty defers to the
-	// placement backend's scheme, then to the process default.
+	// placement backend's scheme, then to SchemeDefault.
 	Scheme isolation.Scheme
 }
 
@@ -220,7 +211,7 @@ func NewInstance(mod *Module, opts InstanceOptions) (*Instance, error) {
 		inst.place = *opts.Place
 	}
 	// Resolve the transition scheme: an explicit option wins, then the
-	// placement backend's scheme, then the process default. The
+	// placement backend's scheme, then SchemeDefault. The
 	// per-crossing charge and the telemetry counters are resolved here,
 	// once, so each transition pays plain adds.
 	sch := opts.Scheme
@@ -300,11 +291,6 @@ func NewInstance(mod *Module, opts InstanceOptions) (*Instance, error) {
 	inst.initMemory()
 
 	inst.Mach = cpu.NewMachine(inst.AS, mod.Prog)
-	if telemetry.Enabled() {
-		if t := int(inst.Mach.Tier); t < len(tierCounters) {
-			tierCounters[t].Inc()
-		}
-	}
 	inst.bindHosts()
 	return inst, nil
 }

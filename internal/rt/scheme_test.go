@@ -163,18 +163,15 @@ func TestSchemeTierDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	prev := cpu.DefaultTier()
-	defer cpu.SetDefaultTier(prev)
-
 	for _, s := range isolation.Schemes() {
 		var wantRes uint64
 		var wantCycles float64
 		for i, tier := range []cpu.Tier{cpu.TierSlow, cpu.TierFast, cpu.TierFused} {
-			cpu.SetDefaultTier(tier)
 			inst, err := NewInstance(mod, InstanceOptions{FSGSBASE: true, Scheme: s})
 			if err != nil {
 				t.Fatal(err)
 			}
+			inst.Mach.Tier = tier
 			res, err := inst.Invoke("sum", 3)
 			if err != nil {
 				t.Fatal(err)

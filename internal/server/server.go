@@ -51,9 +51,11 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/cpu"
 	"repro/internal/fault"
 	"repro/internal/isolation"
 	"repro/internal/rt"
+	"repro/internal/sfi"
 	"repro/internal/telemetry"
 	"repro/internal/workloads"
 )
@@ -70,9 +72,16 @@ type Config struct {
 	DefaultBackend isolation.Kind
 
 	// DefaultScheme is the transition scheme used when a request does
-	// not pick one with ?scheme= (default: the process default,
-	// normally isolation.SchemeDefault).
+	// not pick one with ?scheme= (default: isolation.SchemeDefault).
 	DefaultScheme isolation.Scheme
+
+	// Tier is the execution tier every worker instance runs on
+	// (default: the zero value, cpu.TierFused).
+	Tier cpu.Tier
+
+	// Harden is the Spectre-hardening scheme the served kernels are
+	// compiled under (default: sfi.HardenNone).
+	Harden sfi.Harden
 
 	// Shards is the number of dispatcher shards, each with its own
 	// bounded queue (default: NumCPU, capped at 8).
@@ -321,7 +330,7 @@ func New(cfg Config) (*Server, error) {
 		if err != nil {
 			return nil, fmt.Errorf("server: %w", err)
 		}
-		mod, err := compileKernel(k)
+		mod, err := compileKernel(k, cfg.Harden)
 		if err != nil {
 			return nil, fmt.Errorf("server: compiling %s: %w", name, err)
 		}

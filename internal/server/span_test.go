@@ -68,14 +68,10 @@ func TestServeTraceIDAlwaysPresent(t *testing.T) {
 func TestServeSpanAttribution(t *testing.T) {
 	telemetry.SetSpansEnabled(true)
 	defer telemetry.SetSpansEnabled(false)
-	prevTier := cpu.DefaultTier()
-	defer cpu.SetDefaultTier(prevTier)
-
 	for _, tier := range []cpu.Tier{cpu.TierFast, cpu.TierFused} {
-		cpu.SetDefaultTier(tier)
 		t.Run(tier.String(), func(t *testing.T) {
 			reg := telemetry.NewRegistry()
-			s, err := New(Config{Shards: 2, Registry: reg})
+			s, err := New(Config{Shards: 2, Registry: reg, Tier: tier})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -16,8 +16,9 @@ import (
 
 // compileKernel fetches a kernel's compiled module from the process-wide
 // race-safe compile cache, so N workers share one compilation.
-func compileKernel(k workloads.Kernel) (*rt.Module, error) {
+func compileKernel(k workloads.Kernel, harden sfi.Harden) (*rt.Module, error) {
 	cfg := sfi.DefaultConfig(sfi.ModeSegue)
+	cfg.Harden = harden
 	return rt.CompileModuleCached(
 		rt.ModuleKey{Name: k.Name, Cfg: cfg},
 		func() *ir.Module { return k.Build(false) })
@@ -254,6 +255,7 @@ func (w *worker) acquire(key warmKey, mod *rt.Module) (*rt.Instance, int, string
 		return nil, http.StatusInternalServerError,
 			fmt.Sprintf("instantiating: %v", err)
 	}
+	inst.Mach.Tier = w.s.cfg.Tier // Reset keeps it for warm reuse
 	return inst, 0, ""
 }
 

@@ -147,11 +147,10 @@ type Config struct {
 
 // DefaultConfig returns a Config for the given mode with folding
 // enabled, a 1 GiB disp-fold limit (covered by the runtime's default
-// guard regions), and the process-wide default hardening scheme.
+// guard regions), and no hardening (HardenNone).
 func DefaultConfig(mode Mode) Config {
 	return Config{
 		Mode:            mode,
-		Harden:          DefaultHarden(),
 		FoldOperandSlot: true,
 		FoldDispLimit:   1 << 30,
 	}

@@ -2,7 +2,6 @@ package sfi
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/telemetry"
 )
@@ -85,17 +84,6 @@ func (h Harden) masksStores() bool { return h == HardenDeterministic }
 // interlocksBackEdges reports whether loop back-edges terminate a
 // linear block with an interlock (Swivel-SFI's block discipline).
 func (h Harden) interlocksBackEdges() bool { return h == HardenSwivelSFI }
-
-// defaultHarden is the process-wide default consumed by DefaultConfig,
-// set once at CLI startup by -harden (mirrors cpu.SetDefaultTier and
-// isolation.SetDefaultScheme).
-var defaultHarden atomic.Uint32
-
-// SetDefaultHarden sets the process-wide default hardening scheme.
-func SetDefaultHarden(h Harden) { defaultHarden.Store(uint32(h)) }
-
-// DefaultHarden returns the process-wide default hardening scheme.
-func DefaultHarden() Harden { return Harden(defaultHarden.Load()) }
 
 // ctrHardens counts compiles per hardening scheme, precomputed so the
 // hot Compile path only does an array index + atomic add.

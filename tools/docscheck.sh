@@ -6,7 +6,8 @@
 #    every internal package.
 # 3. The flags and experiment ids the docs advertise actually exist.
 # 4. The documented commands run, in cheap smoke configurations —
-#    including the fault-injection flags.
+#    including the fault-injection flags — and so does every program
+#    under examples/.
 #
 # Run via `make docscheck`; `make ci` (and so CI) includes it.
 set -eu
@@ -97,7 +98,9 @@ smoke "benchtab -harden"      go run ./cmd/benchtab -harden swivel-sfi -o /dev/n
 smoke "faassim (harden)"      go run ./cmd/faassim -handler regex-filtering -procs 2 -seconds 0.2 \
                                   -harden swivel-sfi
 smoke "sfic (harden)"         go run ./cmd/sfic -mode segue -harden swivel-cet
-smoke "quickstart example"    go run ./examples/quickstart
+for ex in examples/*/; do
+    smoke "example $ex"        go run "./$ex"
+done
 
 # An unknown scheme must be rejected with a usage error, not silently
 # accepted as the default.
