@@ -16,15 +16,18 @@ race:
 vet:
 	$(GO) vet ./...
 
-# Pre-PR check: formatting, vet, the full suite under the race
-# detector, then every smoke and guard once. The workflow runs this
-# target and does not repeat its parts, so a smoke added here runs in
-# CI too. The multi-minute golden-table comparisons (fig3/fig4/fig5/
-# table2) skip themselves under -race; `make test` still runs them.
+# Pre-PR check: formatting, vet, the full suite once plainly and once
+# under the race detector, then every smoke and guard once. The
+# workflow runs this target and does not repeat its parts, so a smoke
+# added here runs in CI too. The multi-minute golden-table comparisons
+# (fig3/fig4/fig5/table2, and fig6/fig7a/fig7b/ablation-guards/
+# hardening) skip themselves under -race, so the plain run is where
+# every golden is checked.
 ci:
 	@fmtout=$$(gofmt -l .); if [ -n "$$fmtout" ]; then \
 		echo "gofmt needed on:"; echo "$$fmtout"; exit 1; fi
 	$(GO) vet ./...
+	$(GO) test ./...
 	$(GO) test -race ./...
 	$(MAKE) docscheck
 	sh tools/servesmoke.sh

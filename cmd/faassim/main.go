@@ -127,14 +127,13 @@ func main() {
 			ns = []int{*procs}
 		}
 		for _, n := range ns {
-			cgCfg := faas.SchemeConfig(w, kind, sch, 1)
-			mpCfg := faas.SchemeConfig(w, isolation.MultiProc, sch, n)
-			if kind == isolation.MTE {
-				cgCfg.Lifecycle = isolation.LifecycleFor(kind, *preserveTags)
-			}
+			cgCfg := faas.KindConfig(w, kind, 1)
+			mpCfg := faas.KindConfig(w, isolation.MultiProc, n)
+			cgCfg.PreserveTags = *preserveTags
 			cgCfg.Faults = faultConfig(kind)
 			mpCfg.Faults = faultConfig(isolation.MultiProc)
 			for _, cfg := range []*faas.Config{&cgCfg, &mpCfg} {
+				cfg.Scheme = sch
 				cfg.ArrivalsPerEpoch = *arrivals
 				cfg.DurationNs = *duration * 1e9
 				cfg.ColdStart = *coldStart

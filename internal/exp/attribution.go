@@ -48,7 +48,8 @@ func (o Options) Attribution() (*report.Table, error) {
 
 	w := faas.Workload{Name: "synthetic", ComputeNs: 5_000, Pages: 16}
 	run := func(c cell) faas.Result {
-		cfg := faas.SchemeConfig(w, c.kind, c.scheme, c.procs)
+		cfg := faas.KindConfig(w, c.kind, c.procs)
+		cfg.Scheme = c.scheme
 		cfg.ArrivalsPerEpoch = 2
 		cfg.DurationNs = 0.5e9
 		cfg.ColdStart = true

@@ -42,7 +42,7 @@ func (o Options) BackendMatrix() (*report.Table, error) {
 		{"multiproc", isolation.MultiProc, false},
 	}
 	for _, v := range variants {
-		trans := isolation.TransitionFor(v.kind)
+		trans := isolation.TransitionForScheme(isolation.SchemeDefault, v.kind)
 		life := isolation.LifecycleFor(v.kind, v.preserve)
 		cfg := isolation.Config{MaxMemoryBytes: maxMem, GuardBytes: guard, TotalBytes: budget, Keys: 15}
 		l, err := isolation.PlanLayout(v.kind, cfg)

@@ -144,8 +144,10 @@ func (o Options) faasWorkloads() ([]faas.Workload, error) {
 // percentage throughput gain and both results. The two sides are the
 // same simulation under two isolation-backend cost models.
 func (o Options) gainVsMultiprocess(w faas.Workload, n int) (gainPct float64, cg, mp faas.Result) {
-	cg = o.simulate(faas.SchemeConfig(w, isolation.ColorGuard, o.Scheme, 1))
-	mp = o.simulate(faas.SchemeConfig(w, isolation.MultiProc, o.Scheme, n))
+	cgCfg := faas.KindConfig(w, isolation.ColorGuard, 1)
+	mpCfg := faas.KindConfig(w, isolation.MultiProc, n)
+	cgCfg.Scheme, mpCfg.Scheme = o.Scheme, o.Scheme
+	cg, mp = o.simulate(cgCfg), o.simulate(mpCfg)
 	return (cg.ThroughputRPS/mp.ThroughputRPS - 1) * 100, cg, mp
 }
 

@@ -42,8 +42,14 @@ func checkGolden(t *testing.T, id string, o Options) {
 
 // TestGoldenTables covers the §6.4/§7 tables the isolation layer feeds
 // directly: transition and lifecycle costs, slot-density math, and the
-// FaaS scaling figures.
+// FaaS scaling figures. The five slowest tables (each 25 s to 2 min
+// under the race detector) are skipped under -race: they run on the
+// same parallelMap engine that transitions, attribution and faultsweep
+// still exercise there, and the plain run checks them.
 func TestGoldenTables(t *testing.T) {
+	heavyUnderRace := map[string]bool{
+		"fig6": true, "fig7a": true, "fig7b": true, "ablation-guards": true, "hardening": true,
+	}
 	for _, id := range []string{
 		"transition",
 		"transitions",
@@ -60,7 +66,12 @@ func TestGoldenTables(t *testing.T) {
 		"hardening",
 	} {
 		id := id
-		t.Run(id, func(t *testing.T) { checkGolden(t, id, Options{}) })
+		t.Run(id, func(t *testing.T) {
+			if raceEnabled && heavyUnderRace[id] {
+				t.Skip("skipped under -race (run without -race for full coverage)")
+			}
+			checkGolden(t, id, Options{})
+		})
 	}
 }
 

@@ -55,7 +55,8 @@ func (o Options) FaultSweep() (*report.Table, error) {
 	rows, errs := parallelMap(o, rates, func(rate float64) ([]string, error) {
 		row := []string{fmt.Sprintf("%.3f", rate)}
 		for _, b := range backends {
-			cfg := faas.SchemeConfig(w, b.kind, o.Scheme, b.procs)
+			cfg := faas.KindConfig(w, b.kind, b.procs)
+			cfg.Scheme = o.Scheme
 			cfg.ColdStart = true
 			cfg.InstanceBytes = 64 << 10
 			cfg.ArrivalsPerEpoch = 5

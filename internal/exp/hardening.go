@@ -161,7 +161,8 @@ func (o Options) SwivelHardening() (*report.Table, error) {
 			ComputeNs: at(regexIdx, hi, mi).Nanos * scale,
 			Pages:     48,
 		}
-		cfg := faas.SchemeConfig(w, kind, o.Scheme, procs)
+		cfg := faas.KindConfig(w, kind, procs)
+		cfg.Scheme = o.Scheme
 		cfg.ArrivalsPerEpoch = 250
 		cfg.DurationNs = 0.5e9
 		return o.simulate(cfg).ThroughputRPS

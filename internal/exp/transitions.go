@@ -61,7 +61,8 @@ func (o Options) TransitionSchemes() (*report.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		cfg := faas.SchemeConfig(w, c.kind, c.scheme, c.procs)
+		cfg := faas.KindConfig(w, c.kind, c.procs)
+		cfg.Scheme = c.scheme
 		cfg.ArrivalsPerEpoch = 250
 		cfg.DurationNs = 0.5e9
 		r := o.simulate(cfg)
@@ -103,8 +104,8 @@ func (o Options) TransitionSchemes() (*report.Table, error) {
 }
 
 // measureSchemeTransition runs the nop microbenchmark on an instance
-// placed in a backend reserved under the scheme and returns the
-// measured ns per transition (two transitions per invoke).
+// placed in a backend of the kind and charged under the scheme, and
+// returns the measured ns per transition (two transitions per invoke).
 func (o Options) measureSchemeTransition(scheme isolation.Scheme, kind isolation.Kind) (float64, error) {
 	mod, err := rt.CompileModuleCached(
 		rt.ModuleKey{Name: "nop", Cfg: o.config(sfi.ModeSegue)},
@@ -119,7 +120,6 @@ func (o Options) measureSchemeTransition(scheme isolation.Scheme, kind isolation
 		Slots:          16,
 		MaxMemoryBytes: 1 << 20,
 		GuardBytes:     1 << 20,
-		Scheme:         scheme,
 	}
 	if kind == isolation.ColorGuard {
 		cfg.Keys = 15

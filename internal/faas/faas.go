@@ -50,40 +50,38 @@ type Workload struct {
 	Pages int
 }
 
-// Config parameterizes one simulation run.
+// Config parameterizes one simulation run. It names its isolation
+// backend rather than carrying cost figures: Run prices Kind once, under
+// Scheme and PreserveTags, through the isolation layer's two pricing
+// functions.
 type Config struct {
 	Workload Workload
 
-	// Processes is the number of OS processes; 1 with ColorGuard set
-	// is the ColorGuard strategy.
-	Processes  int
-	ColorGuard bool
+	// Processes is the number of OS processes requests are dealt over;
+	// ColorGuard at 1 against MultiProc at n is the §6.4.3 comparison.
+	Processes int
 
-	// Trans is the per-boundary-crossing cost model the simulation
-	// charges: enter+leave per request, switch+refill per process
-	// switch. The zero value derives the model from the ColorGuard
-	// flag and Scheme via the isolation layer (flagTrans);
-	// KindConfig/SchemeConfig/BackendConfig fill it from an isolation
-	// backend, so §6.4.3 and §7 share one cost path.
-	Trans isolation.TransitionCost
+	// Kind is the isolation backend whose cost models Run charges:
+	// isolation.TransitionForScheme(Scheme, Kind) per crossing and per
+	// process switch, isolation.LifecycleFor(Kind, PreserveTags) per cold
+	// start. The zero Kind prices like isolation.GuardPage.
+	Kind isolation.Kind
 
-	// Scheme is the transition calling-convention scheme behind Trans.
-	// It only participates in cost derivation when Trans is zero (the
-	// Config constructors resolve Trans eagerly); empty means
-	// SchemeDefault.
+	// Scheme is the transition calling-convention scheme Kind's
+	// crossings are priced under; empty means SchemeDefault.
 	Scheme isolation.Scheme
 
-	// Lifecycle is the per-slot init/recycle cost model, charged per
-	// request when ColdStart is set.
-	Lifecycle isolation.LifecycleCost
+	// PreserveTags prices cold starts under §7's tag-preserving madvise
+	// (MTE only; other kinds' lifecycle costs ignore it).
+	PreserveTags bool
 
-	// ColdStart charges Lifecycle init before each request's compute
-	// and Lifecycle teardown at completion — the serverless pattern
+	// ColdStart charges Kind's lifecycle init before each request's
+	// compute and its teardown at completion — the serverless pattern
 	// where every request gets a fresh instance (§7's concern). Off by
 	// default: the §6.4.3 figures model warm instances.
 	ColdStart bool
 
-	// InstanceBytes is the linear-memory size Lifecycle costs are
+	// InstanceBytes is the linear-memory size lifecycle costs are
 	// charged on (ColdStart only).
 	InstanceBytes uint64
 
@@ -121,69 +119,22 @@ type Config struct {
 	Seed uint64
 }
 
-// DefaultConfig returns the paper's simulation parameters around the
-// given workload, with the flag-derived cost model: plain or PKRU
-// transitions per the colorGuard flag under SchemeDefault, and the standard context-switch/cache-refill
-// costs when processes contend.
-func DefaultConfig(w Workload, processes int, colorGuard bool) Config {
+// KindConfig returns the paper's simulation parameters — 1 ms epochs,
+// Poisson(5 ms) IO, 40 arrivals per epoch, two simulated seconds — for
+// an isolation backend kind under the default scheme: the §6.4.3
+// comparison is KindConfig(w, isolation.ColorGuard, 1) against
+// KindConfig(w, isolation.MultiProc, n).
+func KindConfig(w Workload, kind isolation.Kind, processes int) Config {
 	return Config{
 		Workload:         w,
 		Processes:        processes,
-		ColorGuard:       colorGuard,
-		Scheme:           isolation.SchemeDefault,
-		Trans:            flagTrans(isolation.SchemeDefault, colorGuard),
+		Kind:             kind,
 		EpochNs:          1e6,
 		IODelayMeanNs:    5e6,
 		ArrivalsPerEpoch: 40,
 		DurationNs:       2e9,
 		Seed:             7,
 	}
-}
-
-// flagTrans derives the historical ColorGuard-flag cost model from the
-// scheme-composed isolation layer: the scheme's convention cost under
-// the backend kind the flag implies, with the process-switch terms
-// always present (they are only ever charged when Processes > 1).
-// It replaces the deleted legacyTrans, which duplicated the isolation
-// constants; every number now originates in internal/isolation.
-func flagTrans(scheme isolation.Scheme, colorGuard bool) isolation.TransitionCost {
-	kind := isolation.GuardPage
-	if colorGuard {
-		kind = isolation.ColorGuard
-	}
-	t := isolation.TransitionForScheme(scheme, kind)
-	t.SwitchNs, t.RefillNs, t.FlushTLB = isolation.CtxSwitchNs, isolation.CacheRefillNs, true
-	return t
-}
-
-// KindConfig returns the paper's simulation parameters with the cost
-// model of an isolation backend kind under the default scheme: the
-// §6.4.3 comparison is KindConfig(w, isolation.ColorGuard, 1) against
-// KindConfig(w, isolation.MultiProc, n).
-func KindConfig(w Workload, kind isolation.Kind, processes int) Config {
-	return SchemeConfig(w, kind, "", processes)
-}
-
-// SchemeConfig is KindConfig generalized over the transition-scheme
-// axis: the same backend kind priced under an explicit calling
-// convention (empty = SchemeDefault).
-func SchemeConfig(w Workload, kind isolation.Kind, scheme isolation.Scheme, processes int) Config {
-	cfg := DefaultConfig(w, processes, kind == isolation.ColorGuard)
-	cfg.Scheme = isolation.ResolveScheme(scheme)
-	cfg.Trans = isolation.TransitionForScheme(cfg.Scheme, kind)
-	cfg.Lifecycle = isolation.LifecycleFor(kind, false)
-	return cfg
-}
-
-// BackendConfig returns the simulation parameters with the cost models
-// of a live backend (including per-backend options such as the MTE
-// tag-preserving madvise and the backend's transition scheme).
-func BackendConfig(w Workload, b isolation.Backend, processes int) Config {
-	cfg := DefaultConfig(w, processes, b.Kind() == isolation.ColorGuard)
-	cfg.Scheme = b.Scheme()
-	cfg.Trans = b.TransitionCost()
-	cfg.Lifecycle = b.LifecycleCost()
-	return cfg
 }
 
 // DegradationPoint is one sample of the degradation curve: the
@@ -244,9 +195,9 @@ type Result struct {
 	LatencyP99Ns float64
 }
 
-// Scheduling constants. The transition and process-switch costs now
-// come from the isolation layer's cost models (Config.Trans); what
-// stays here is pure scheduler behavior.
+// Scheduling constants. The transition and process-switch costs come
+// from the isolation layer's cost models for Config.Kind; what stays
+// here is pure scheduler behavior.
 const (
 	// procSwitchNs is the direct kernel context-switch cost, charged
 	// for the background switches every pinned process suffers
@@ -320,12 +271,10 @@ func Run(cfg Config) Result {
 			telemetry.ExpBuckets(1e5, 2, 24))
 	}
 
-	trans := cfg.Trans
-	if trans == (isolation.TransitionCost{}) {
-		// Zero-value Config: derive the cost model from the ColorGuard
-		// flag and the transition scheme.
-		trans = flagTrans(isolation.ResolveScheme(cfg.Scheme), cfg.ColorGuard)
-	}
+	// The backend is priced once, here; the loop below only reads the
+	// two cost models.
+	trans := isolation.TransitionForScheme(cfg.Scheme, cfg.Kind)
+	life := isolation.LifecycleFor(cfg.Kind, cfg.PreserveTags)
 
 	// Phase attribution is resolved once per run; when off, the
 	// simulation body pays one predictable branch per bookkeeping site
@@ -592,7 +541,7 @@ func Run(cfg Config) Result {
 				// Fresh instance per request: mmap+zero plus the
 				// backend's coloring cost (re-coloring, since slots cycle
 				// through discarding recycles under plain MTE).
-				init := cfg.Lifecycle.InitNs(cfg.InstanceBytes, cfg.Lifecycle.RecolorOnReuse)
+				init := life.InitNs(cfg.InstanceBytes, life.RecolorOnReuse)
 				clock += init
 				res.LifecycleNs += init
 				if phasesOn {
@@ -672,7 +621,7 @@ func Run(cfg Config) Result {
 				qDepth.Set(int64(inFlight))
 			}
 			if cfg.ColdStart {
-				teardown := cfg.Lifecycle.TeardownNs(cfg.InstanceBytes)
+				teardown := life.TeardownNs(cfg.InstanceBytes)
 				clock += teardown
 				res.LifecycleNs += teardown
 			}

@@ -1,75 +1,12 @@
 package faas
 
 import (
-	"reflect"
 	"testing"
 
 	"repro/internal/isolation"
-	"repro/internal/mem"
 )
 
 var diffWorkload = Workload{Name: "w", ComputeNs: 30_000, Pages: 48}
-
-// TestBackendConfigMatchesLegacy: the backend-derived cost models must
-// reproduce the legacy flag-derived simulation exactly — same Result
-// struct, field for field — for every (kind, process-count) combination
-// the legacy API could express. This is the §6.4.3 half of the
-// refactor's acceptance bar: one cost path, zero drift.
-func TestBackendConfigMatchesLegacy(t *testing.T) {
-	cases := []struct {
-		kind       isolation.Kind
-		processes  int
-		colorGuard bool
-	}{
-		{isolation.ColorGuard, 1, true},
-		{isolation.GuardPage, 1, false},
-		{isolation.MTE, 1, false},
-		{isolation.MultiProc, 1, false},
-		{isolation.MultiProc, 4, false},
-		{isolation.MultiProc, 15, false},
-	}
-	for _, c := range cases {
-		legacy := Run(DefaultConfig(diffWorkload, c.processes, c.colorGuard))
-		backend := Run(KindConfig(diffWorkload, c.kind, c.processes))
-		if !reflect.DeepEqual(legacy, backend) {
-			t.Fatalf("%s/%d: backend result %+v != legacy result %+v", c.kind, c.processes, backend, legacy)
-		}
-	}
-}
-
-// TestZeroValueConfigDerivesLegacyCosts: a Config built by hand without
-// Trans still runs under the historical cost model.
-func TestZeroValueConfigDerivesLegacyCosts(t *testing.T) {
-	base := DefaultConfig(diffWorkload, 3, true)
-	bare := base
-	bare.Trans = isolation.TransitionCost{}
-	if !reflect.DeepEqual(Run(base), Run(bare)) {
-		t.Fatal("zero-value Trans did not fall back to the flag-derived model")
-	}
-}
-
-// TestBackendConfigFromLiveBackend: BackendConfig reads the cost models
-// off a reserved backend, including per-backend options like the MTE
-// tag-preserving madvise.
-func TestBackendConfigFromLiveBackend(t *testing.T) {
-	b, err := isolation.NewReserved(isolation.MTE, mem.NewAS(47), isolation.Config{
-		Slots: 4, MaxMemoryBytes: 64 << 10, GuardBytes: 1 << 20,
-		PreserveTagsOnMadvise: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := BackendConfig(diffWorkload, b, 1)
-	if cfg.Trans != isolation.TransitionFor(isolation.MTE) {
-		t.Fatalf("trans = %+v", cfg.Trans)
-	}
-	if cfg.Lifecycle.RecolorOnReuse || cfg.Lifecycle.DecolorNsPerByte != 0 {
-		t.Fatalf("lifecycle = %+v, want tag-preserving (no decolor terms)", cfg.Lifecycle)
-	}
-	if cfg.ColorGuard {
-		t.Fatal("MTE backend config should not set the ColorGuard flag")
-	}
-}
 
 // TestColdStartOrdersBackends: with a fresh instance per request, the
 // §7 lifecycle costs separate the mechanisms — MTE without the
@@ -79,7 +16,7 @@ func TestBackendConfigFromLiveBackend(t *testing.T) {
 func TestColdStartOrdersBackends(t *testing.T) {
 	mkCfg := func(preserve bool) Config {
 		cfg := KindConfig(diffWorkload, isolation.MTE, 1)
-		cfg.Lifecycle = isolation.LifecycleFor(isolation.MTE, preserve)
+		cfg.PreserveTags = preserve
 		cfg.ColdStart = true
 		cfg.InstanceBytes = 64 << 10
 		return cfg

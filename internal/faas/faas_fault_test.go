@@ -14,7 +14,7 @@ import (
 // class active, retries with backoff, a deadline, a bounded queue, and
 // a breaker.
 func faultyConfig(rate float64) Config {
-	cfg := DefaultConfig(testWorkload, 1, true)
+	cfg := KindConfig(testWorkload, isolation.ColorGuard, 1)
 	cfg.Faults = fault.Config{
 		Seed:        101,
 		Rates:       fault.RatesFor("colorguard", rate),
@@ -31,7 +31,7 @@ func faultyConfig(rate float64) Config {
 // field-for-field identical to the pre-fault simulator — no fault
 // branch may execute.
 func TestFaultsZeroConfigInert(t *testing.T) {
-	clean := Run(DefaultConfig(testWorkload, 8, false))
+	clean := Run(KindConfig(testWorkload, isolation.MultiProc, 8))
 	if clean.Shed != 0 || clean.Failed != 0 || clean.Retried != 0 ||
 		clean.TimedOut != 0 || clean.FaultsInjected != 0 || clean.Degradation != nil {
 		t.Fatalf("clean run reported fault outcomes: %+v", clean)
@@ -47,8 +47,8 @@ func TestFaultsZeroConfigInert(t *testing.T) {
 // Result identical to the disarmed run. This is the per-Run version of
 // exp.TestGoldenTablesWithFaultsOff.
 func TestFaultsArmedButIdleInert(t *testing.T) {
-	off := Run(DefaultConfig(testWorkload, 8, false))
-	armed := DefaultConfig(testWorkload, 8, false)
+	off := Run(KindConfig(testWorkload, isolation.MultiProc, 8))
+	armed := KindConfig(testWorkload, isolation.MultiProc, 8)
 	armed.Faults = fault.Config{
 		Seed:        999,
 		MaxAttempts: 5,
@@ -114,7 +114,7 @@ func TestFaultConservation(t *testing.T) {
 // TestAdmissionControlSheds: a tight queue bound sheds load and caps
 // concurrency at the limit.
 func TestAdmissionControlSheds(t *testing.T) {
-	cfg := DefaultConfig(testWorkload, 1, true)
+	cfg := KindConfig(testWorkload, isolation.ColorGuard, 1)
 	cfg.Faults = fault.Config{QueueLimit: 32}
 	r := Run(cfg)
 	if r.Shed == 0 {
@@ -126,7 +126,7 @@ func TestAdmissionControlSheds(t *testing.T) {
 	if r.Completed == 0 {
 		t.Error("shedding starved the platform completely")
 	}
-	unbounded := Run(DefaultConfig(testWorkload, 1, true))
+	unbounded := Run(KindConfig(testWorkload, isolation.ColorGuard, 1))
 	if r.MaxConcurrent >= unbounded.MaxConcurrent {
 		t.Errorf("queue limit did not reduce concurrency: %d vs %d",
 			r.MaxConcurrent, unbounded.MaxConcurrent)
@@ -136,13 +136,13 @@ func TestAdmissionControlSheds(t *testing.T) {
 // TestTimeoutDropsStragglers: a deadline shorter than typical latency
 // times requests out; a very long one does not.
 func TestTimeoutDropsStragglers(t *testing.T) {
-	tight := DefaultConfig(testWorkload, 1, true)
+	tight := KindConfig(testWorkload, isolation.ColorGuard, 1)
 	tight.Faults = fault.Config{TimeoutNs: 3e6} // 3 ms vs the 5 ms IO mean
 	r := Run(tight)
 	if r.TimedOut == 0 {
 		t.Fatal("3 ms deadline timed nothing out against a 5 ms IO delay")
 	}
-	loose := DefaultConfig(testWorkload, 1, true)
+	loose := KindConfig(testWorkload, isolation.ColorGuard, 1)
 	loose.Faults = fault.Config{TimeoutNs: 1e12}
 	if rl := Run(loose); rl.TimedOut != 0 {
 		t.Errorf("effectively-infinite deadline timed out %d requests", rl.TimedOut)
@@ -153,7 +153,7 @@ func TestTimeoutDropsStragglers(t *testing.T) {
 // converts failures into retries — strictly fewer abandoned requests
 // than the no-retry run, at the same fault sequence.
 func TestRetriesRecoverThroughput(t *testing.T) {
-	base := DefaultConfig(testWorkload, 1, true)
+	base := KindConfig(testWorkload, isolation.ColorGuard, 1)
 	base.Faults = fault.Config{
 		Seed:        7,
 		Rates:       fault.Rates{Poisoned: 0.05, TransitionFault: 0.02},
@@ -185,7 +185,7 @@ func TestRetriesRecoverThroughput(t *testing.T) {
 // TestBreakerTripsUnderFaultStorm: certain failure trips the breaker,
 // which then sheds at admission.
 func TestBreakerTripsUnderFaultStorm(t *testing.T) {
-	cfg := DefaultConfig(testWorkload, 1, true)
+	cfg := KindConfig(testWorkload, isolation.ColorGuard, 1)
 	cfg.Faults = fault.Config{
 		Seed:    3,
 		Rates:   fault.Rates{Poisoned: 1.0}, // every attempt crashes

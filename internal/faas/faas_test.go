@@ -71,7 +71,7 @@ func TestFigure7bShape(t *testing.T) {
 // TestTransitionAccounting: every completed request entered and left
 // the sandbox at least once.
 func TestTransitionAccounting(t *testing.T) {
-	r := Run(DefaultConfig(testWorkload, 1, true))
+	r := Run(KindConfig(testWorkload, isolation.ColorGuard, 1))
 	if r.Completed == 0 {
 		t.Fatal("nothing completed")
 	}
@@ -85,8 +85,8 @@ func TestTransitionAccounting(t *testing.T) {
 
 // TestDeterminism: identical configs produce identical results.
 func TestDeterminism(t *testing.T) {
-	a := Run(DefaultConfig(testWorkload, 8, false))
-	b := Run(DefaultConfig(testWorkload, 8, false))
+	a := Run(KindConfig(testWorkload, isolation.MultiProc, 8))
+	b := Run(KindConfig(testWorkload, isolation.MultiProc, 8))
 	if !reflect.DeepEqual(a, b) {
 		t.Errorf("non-deterministic simulation: %+v vs %+v", a, b)
 	}
@@ -95,7 +95,7 @@ func TestDeterminism(t *testing.T) {
 // BenchmarkRun measures the cost of one full simulation run (the unit
 // of work Fig6Throughput fans out 45 times and fig7 16 times).
 func BenchmarkRun(b *testing.B) {
-	cfg := DefaultConfig(testWorkload, 8, false)
+	cfg := KindConfig(testWorkload, isolation.MultiProc, 8)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		r := Run(cfg)
@@ -108,9 +108,9 @@ func BenchmarkRun(b *testing.B) {
 // TestUnderLoad: when offered load is far below capacity, both
 // strategies complete everything and the gain vanishes.
 func TestUnderLoad(t *testing.T) {
-	cfgCG := DefaultConfig(testWorkload, 1, true)
+	cfgCG := KindConfig(testWorkload, isolation.ColorGuard, 1)
 	cfgCG.ArrivalsPerEpoch = 4
-	cfgMP := DefaultConfig(testWorkload, 15, false)
+	cfgMP := KindConfig(testWorkload, isolation.MultiProc, 15)
 	cfgMP.ArrivalsPerEpoch = 4
 	cg := Run(cfgCG)
 	mp := Run(cfgMP)
@@ -125,7 +125,7 @@ func TestUnderLoad(t *testing.T) {
 // stats.Percentile over that sample; without it, recording costs
 // nothing and the rest of the Result is unchanged.
 func TestRecordLatencyPercentiles(t *testing.T) {
-	cfg := DefaultConfig(testWorkload, 4, false)
+	cfg := KindConfig(testWorkload, isolation.MultiProc, 4)
 	cfg.RecordLatency = true
 	r := Run(cfg)
 	if len(r.Latencies) != r.Completed {
@@ -154,7 +154,7 @@ func TestRecordLatencyPercentiles(t *testing.T) {
 		t.Errorf("p50 %g ns implausibly small", r.LatencyP50Ns)
 	}
 
-	off := Run(DefaultConfig(testWorkload, 4, false))
+	off := Run(KindConfig(testWorkload, isolation.MultiProc, 4))
 	if off.Latencies != nil || off.LatencyP50Ns != 0 {
 		t.Error("latencies recorded without RecordLatency")
 	}

@@ -23,7 +23,8 @@ func TestPhaseSumConservation(t *testing.T) {
 				if kind == isolation.MultiProc {
 					procs = 4
 				}
-				cfg := SchemeConfig(w, kind, scheme, procs)
+				cfg := KindConfig(w, kind, procs)
+				cfg.Scheme = scheme
 				cfg.DurationNs = 0.2e9
 				cfg.ColdStart = true
 				cfg.InstanceBytes = 64 << 10

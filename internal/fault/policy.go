@@ -1,5 +1,7 @@
 package fault
 
+import "sync"
+
 // Backoff is an exponential retry-delay schedule in virtual
 // nanoseconds: attempt n (1-based count of failures so far) waits
 // BaseNs * Factor^(n-1), capped at MaxNs. The zero value waits nothing
@@ -91,11 +93,15 @@ func (s BreakerState) String() string {
 // Breaker is a virtual-time circuit breaker: it trips open after a run
 // of consecutive failures, rejects admissions for OpenNs, then admits
 // probes half-open until enough succeed to close. All time is the
-// caller's virtual clock; the breaker holds no real-time state, so a
-// seeded simulation replays its trips exactly. Not safe for concurrent
-// use; each simulation run owns one.
+// caller's clock — a simulation's virtual nanoseconds or a server's
+// wall-clock nanoseconds since start; the breaker holds no real-time
+// state, so a seeded simulation replays its trips exactly. It is safe
+// for concurrent use: one mutex guards the state, and a disabled
+// breaker returns before taking it.
 type Breaker struct {
-	cfg         BreakerConfig
+	cfg BreakerConfig
+
+	mu          sync.Mutex
 	state       BreakerState
 	consecFails int
 	reopenAt    float64 // virtual time when open may move to half-open
@@ -113,6 +119,8 @@ func (b *Breaker) Allow(now float64) bool {
 	if !b.cfg.Enabled() {
 		return true
 	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
 	if b.state == BreakerOpen {
 		if now < b.reopenAt {
 			return false
@@ -128,6 +136,8 @@ func (b *Breaker) OnSuccess(now float64) {
 	if !b.cfg.Enabled() {
 		return
 	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
 	switch b.state {
 	case BreakerClosed:
 		b.consecFails = 0
@@ -145,20 +155,25 @@ func (b *Breaker) OnSuccess(now float64) {
 }
 
 // OnFailure records a failed, timed-out, or faulted request at virtual
-// time now. In half-open any failure reopens immediately.
-func (b *Breaker) OnFailure(now float64) {
+// time now and reports whether this call tripped the breaker open. In
+// half-open any failure reopens immediately.
+func (b *Breaker) OnFailure(now float64) (tripped bool) {
 	if !b.cfg.Enabled() {
-		return
+		return false
 	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
 	switch b.state {
 	case BreakerClosed:
 		b.consecFails++
-		if b.consecFails >= b.cfg.FailureThreshold {
-			b.trip(now)
-		}
+		tripped = b.consecFails >= b.cfg.FailureThreshold
 	case BreakerHalfOpen:
+		tripped = true
+	}
+	if tripped {
 		b.trip(now)
 	}
+	return tripped
 }
 
 func (b *Breaker) trip(now float64) {
@@ -169,7 +184,15 @@ func (b *Breaker) trip(now float64) {
 }
 
 // State returns the breaker's current position.
-func (b *Breaker) State() BreakerState { return b.state }
+func (b *Breaker) State() BreakerState {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.state
+}
 
 // Opens returns how many times the breaker has tripped open.
-func (b *Breaker) Opens() uint64 { return b.opens }
+func (b *Breaker) Opens() uint64 {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.opens
+}

@@ -1,19 +1,21 @@
 // Package isolation is the unified isolation-backend layer: one slot
-// lifecycle (Reserve → Allocate → Color → Recycle → Release) shared by
-// every mechanism the paper compares — guard-page SFI, ColorGuard's MPK
-// page striping (§3.2, §5.1), ColorGuard-MTE granule tagging (§7), and
+// lifecycle (Reserve → Allocate → Recycle → Release) shared by every
+// mechanism the paper compares — guard-page SFI, ColorGuard's MPK page
+// striping (§3.2, §5.1), ColorGuard-MTE granule tagging (§7), and
 // classic N-process scaling (§6.4.3) — plus the transition- and
 // lifecycle-cost models those mechanisms differ on.
 //
 // The point of the abstraction is that the paper's central comparison
-// is exactly an axis of this interface: every backend places instances
-// into slots the same way, but each pays different costs to cross the
-// isolation boundary (TransitionCost) and to initialize or recycle a
-// slot (LifecycleCost). The runtime (internal/rt), the FaaS simulator
-// (internal/faas), and the experiments (internal/exp) all consume the
-// same Backend, so the §6.4 tables and the §7 MTE numbers come from one
+// is exactly an axis of this package: every backend places instances
+// into slots the same way, but each Kind pays different costs to cross
+// the isolation boundary (TransitionForScheme) and to initialize or
+// recycle a slot (LifecycleFor). Those two functions are the only
+// pricing path: the runtime (internal/rt), the FaaS simulator
+// (internal/faas), and the experiments (internal/exp) all price a Kind
+// through them, so the §6.4 tables and the §7 MTE numbers come from one
 // code path. Adding a new mechanism (CHERI-style capabilities, a
-// Segue-off ablation) is one new file implementing Backend.
+// Segue-off ablation) is one new Kind, one Backend, and its cases in
+// the two pricing functions.
 package isolation
 
 import (
@@ -81,11 +83,6 @@ type Config struct {
 	// madvise flag that leaves granule tags invariant, making recycling
 	// as cheap as under MPK.
 	PreserveTagsOnMadvise bool
-
-	// Scheme selects the transition calling-convention scheme the
-	// backend's TransitionCost is priced under. Empty means
-	// SchemeDefault.
-	Scheme Scheme
 }
 
 // Slot is one allocated isolation domain: where the instance's linear
@@ -175,40 +172,12 @@ func (l LifecycleCost) TeardownNs(bytes uint64) float64 {
 const (
 	// TransitionNs is one sandbox transition without ColorGuard.
 	TransitionNs = 30.34
-	// TransitionPKRUNs adds the ~44-cycle WRPKRU each way.
-	TransitionPKRUNs = 51.52
 	// CtxSwitchNs is the direct kernel process-switch cost.
 	CtxSwitchNs = 3500.0
 	// CacheRefillNs models the post-switch L1/L2 warmup (a 48 KiB L1
 	// alone is ~750 lines), the "resource contention" of Figure 7.
 	CacheRefillNs = 3200.0
 )
-
-// TransitionFor returns the transition cost model of a backend kind
-// under the default transition scheme (the §6.4.1 convention every
-// pre-scheme golden was produced with). TransitionForScheme generalizes
-// it over the calling-convention axis.
-func TransitionFor(kind Kind) TransitionCost {
-	return transitionDefault(kind)
-}
-
-// transitionDefault is the historical cost switch, kept verbatim so the
-// default scheme is bit-exact with every pre-scheme number: the faas
-// simulator integrates these floats over millions of virtual-time
-// events, where even one ulp would shift a golden table.
-func transitionDefault(kind Kind) TransitionCost {
-	switch kind {
-	case ColorGuard:
-		return TransitionCost{EnterNs: TransitionPKRUNs, LeaveNs: TransitionPKRUNs}
-	case MultiProc:
-		return TransitionCost{
-			EnterNs: TransitionNs, LeaveNs: TransitionNs,
-			SwitchNs: CtxSwitchNs, RefillNs: CacheRefillNs, FlushTLB: true,
-		}
-	default: // GuardPage, MTE: plain user-level transitions.
-		return TransitionCost{EnterNs: TransitionNs, LeaveNs: TransitionNs}
-	}
-}
 
 // LifecycleFor returns the lifecycle cost model of a backend kind. The
 // base terms are the §7 measurements for mmap+zero and madvise; only
@@ -229,10 +198,10 @@ func LifecycleFor(kind Kind, preserveTags bool) LifecycleCost {
 // Backend is the unified slot lifecycle every isolation mechanism
 // implements. A backend is created empty (New), bound to an address
 // space and geometry once (Reserve), then hands out slots (Allocate),
-// re-applies coloring where the mechanism needs it (Color), returns
-// slots to the free list (Recycle), and finally tears the slab down
-// (Release). TransitionCost and LifecycleCost expose the mechanism's
-// cost models to the runtime and the simulators.
+// returns slots to the free list (Recycle), and finally tears the slab
+// down (Release). A backend prices nothing itself beyond the lifecycle
+// time it accumulates: its Kind is the key into TransitionForScheme and
+// LifecycleFor.
 type Backend interface {
 	// Kind identifies the mechanism.
 	Kind() Kind
@@ -246,10 +215,6 @@ type Backend interface {
 	// init cost (including recoloring when a prior recycle discarded
 	// the colors).
 	Allocate(initialBytes uint64) (Slot, error)
-
-	// Color re-applies the backend's isolation marking to bytes of an
-	// allocated slot (a no-op where colors persist in PTEs).
-	Color(s Slot, bytes uint64) error
 
 	// Grow opens more of an allocated slot, up to its maximum.
 	Grow(s Slot, upTo uint64) error
@@ -275,29 +240,18 @@ type Backend interface {
 	// concrete slot layout (striping distances, guard coverage).
 	CheckIsolation() error
 
-	// TransitionCost returns the per-boundary-crossing cost model
-	// (priced under the backend's transition scheme).
-	TransitionCost() TransitionCost
-
-	// Scheme returns the transition scheme the backend was reserved
-	// under (SchemeDefault before Reserve).
-	Scheme() Scheme
-
-	// LifecycleCost returns the per-slot init/recycle cost model.
-	LifecycleCost() LifecycleCost
-
 	// LifecycleNs returns the accumulated init and teardown time
-	// charged by Allocate and Recycle so far.
+	// charged by Allocate and Recycle so far, priced by LifecycleFor.
 	LifecycleNs() (initNs, teardownNs float64)
 }
 
 // New returns an empty backend of the given kind.
 func New(kind Kind) (Backend, error) {
 	switch kind {
-	case GuardPage:
-		return newGuardPage(), nil
-	case ColorGuard:
-		return newColorGuard(), nil
+	case GuardPage, ColorGuard:
+		// Guard pages and MPK stripes differ only in the pool geometry
+		// (poolConfig) and the pkeys pool.Pool applies on Allocate.
+		return &slab{kind: kind}, nil
 	case MTE:
 		return newMTE(), nil
 	case MultiProc:

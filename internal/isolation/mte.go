@@ -28,8 +28,6 @@ func newMTE() *mteBackend {
 		retag:  make(map[int]bool),
 	}
 	b.slab.kind = MTE
-	b.slab.trans = TransitionFor(MTE)
-	b.slab.life = LifecycleFor(MTE, false)
 	return b
 }
 
@@ -68,26 +66,11 @@ func (b *mteBackend) Allocate(initialBytes uint64) (Slot, error) {
 	return sl, nil
 }
 
-// Color re-tags bytes of the slot's granules, charging the per-byte
-// tagging cost (used when growing a memory past its tagged prefix).
-func (b *mteBackend) Color(s Slot, bytes uint64) error {
-	if b.p == nil {
-		return ErrNotReserved
-	}
-	if bytes == 0 {
-		return nil
-	}
-	b.tags.TagRange(s.Addr, bytes, s.Tag)
-	b.initNs += b.life.ColorNsPerByte * float64(bytes)
-	b.ctrColor.Inc()
-	return nil
-}
-
 // Grow opens more of the slot and maintains the coloring invariant:
 // every open granule carries the slot's tag (tagging is idempotent, so
 // re-tagging the prefix is harmless and no extra cost is charged for
-// already-tagged granules — the bookkeeping charges the full range once
-// via Allocate/Color).
+// already-tagged granules — the bookkeeping charges the tagged prefix
+// once, in Allocate).
 func (b *mteBackend) Grow(s Slot, upTo uint64) error {
 	if err := b.slab.Grow(s, upTo); err != nil {
 		return err

@@ -9,7 +9,7 @@ import (
 // Config.Processes. Isolation is free at the mechanism level — disjoint
 // page tables — but every domain crossing is a kernel context switch
 // that flushes the dTLB and cold-starts the caches (Figure 7), which is
-// what TransitionFor(MultiProc) charges.
+// what TransitionForScheme charges MultiProc on top of the convention.
 type multiProc struct {
 	slab
 	processes int
@@ -18,8 +18,6 @@ type multiProc struct {
 func newMultiProc() *multiProc {
 	b := &multiProc{processes: 1}
 	b.slab.kind = MultiProc
-	b.slab.trans = TransitionFor(MultiProc)
-	b.slab.life = LifecycleFor(MultiProc, false)
 	return b
 }
 

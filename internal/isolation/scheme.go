@@ -134,15 +134,13 @@ func (s Scheme) BaseCycles() float64 {
 }
 
 // TransitionForScheme returns the transition cost model of a backend
-// kind under a transition scheme: the scheme's convention cost composed
-// with the mechanism tax the kind cannot shed. The default scheme
-// reproduces TransitionFor's historical constants exactly — every
-// pre-scheme golden is pinned to that path.
+// kind under a transition scheme (empty = SchemeDefault): the scheme's
+// convention cost composed with the mechanism tax the kind cannot shed.
+// It is the only transition pricing in the repo. Guard pages and MTE
+// cross at the bare convention cost, ColorGuard adds a WRPKRU each way,
+// and multiproc adds the context switch, the cache refill and the dTLB
+// flush of moving the core between processes.
 func TransitionForScheme(s Scheme, kind Kind) TransitionCost {
-	s = ResolveScheme(s)
-	if s == SchemeDefault {
-		return transitionDefault(kind)
-	}
 	base := s.BaseNs()
 	t := TransitionCost{EnterNs: base, LeaveNs: base}
 	switch kind {

@@ -16,26 +16,25 @@ var (
 )
 
 // slab is the shared pooled implementation behind every backend: a
-// pool.Pool slab reservation plus the backend's cost models and the
-// accumulated lifecycle accounting. Concrete backends embed it and
-// override the lifecycle steps their mechanism changes.
+// pool.Pool slab reservation plus the kind's lifecycle cost model and
+// the accumulated lifecycle accounting. Guard pages and ColorGuard are a
+// bare slab; MTE and multiproc embed it and override the lifecycle steps
+// their mechanism changes.
 type slab struct {
-	kind   Kind
-	cfg    Config
-	as     *mem.AS
-	p      *pool.Pool
-	scheme Scheme
-	trans  TransitionCost
-	life   LifecycleCost
+	kind Kind
+	as   *mem.AS
+	p    *pool.Pool
+	life LifecycleCost
 
 	initNs     float64
 	teardownNs float64
 
 	// Lifecycle telemetry (isolation.<kind>.allocates/.recycles/.grows/
-	// .colors), bound by Reserve. Lifecycle events are per-instance, not
-	// per-instruction, so the single atomic add per event is paid
-	// unconditionally. Nil only before Reserve, and every count site is
-	// behind the s.p != nil check.
+	// .colors), bound by Reserve; .colors counts allocations that
+	// applied a color (an MPK key or fresh MTE tags). Lifecycle events
+	// are per-instance, not per-instruction, so the single atomic add per
+	// event is paid unconditionally. Nil only before Reserve, and every
+	// count site is behind the s.p != nil check.
 	ctrAlloc   *telemetry.Counter
 	ctrRecycle *telemetry.Counter
 	ctrGrow    *telemetry.Counter
@@ -52,9 +51,7 @@ func (s *slab) Reserve(as *mem.AS, cfg Config) error {
 	if err != nil {
 		return fmt.Errorf("isolation: %s: %w", s.kind, err)
 	}
-	s.as, s.cfg, s.p = as, cfg, p
-	s.scheme = ResolveScheme(cfg.Scheme)
-	s.trans = TransitionForScheme(s.scheme, s.kind)
+	s.as, s.p = as, p
 	s.life = LifecycleFor(s.kind, cfg.PreserveTagsOnMadvise)
 	pfx := "isolation." + string(s.kind)
 	s.ctrAlloc = telemetry.Default.Counter(pfx + ".allocates")
@@ -86,11 +83,6 @@ func (s *slab) allocate(initialBytes uint64, recolor bool) (Slot, error) {
 func (s *slab) Allocate(initialBytes uint64) (Slot, error) {
 	return s.allocate(initialBytes, false)
 }
-
-// Color is a no-op for PTE- and process-based mechanisms: the coloring
-// is applied by Allocate (pkey_mprotect) or implied by the address
-// space, and persists across recycles.
-func (s *slab) Color(Slot, uint64) error { return nil }
 
 func (s *slab) Grow(sl Slot, upTo uint64) error {
 	if s.p == nil {
@@ -152,16 +144,6 @@ func (s *slab) CheckIsolation() error {
 		return ErrNotReserved
 	}
 	return s.p.CheckIsolation()
-}
-
-func (s *slab) TransitionCost() TransitionCost { return s.trans }
-func (s *slab) LifecycleCost() LifecycleCost   { return s.life }
-
-func (s *slab) Scheme() Scheme {
-	if s.scheme == "" {
-		return SchemeDefault
-	}
-	return s.scheme
 }
 
 func (s *slab) LifecycleNs() (initNs, teardownNs float64) {

@@ -22,13 +22,8 @@ type Pool struct {
 	Layout Layout
 	Base   uint64
 
-	free    []int
-	inUse   map[int]bool
-	colored bool // slots have been pkey-striped
-
-	// Allocations and Releases count slot turnover.
-	Allocations uint64
-	Releases    uint64
+	free  []int
+	inUse map[int]bool
 }
 
 // New reserves the slab for cfg inside as and prepares the free list.
@@ -85,7 +80,6 @@ func (p *Pool) Allocate(initialBytes uint64) (Slot, error) {
 	i := p.free[len(p.free)-1]
 	p.free = p.free[:len(p.free)-1]
 	p.inUse[i] = true
-	p.Allocations++
 
 	s := Slot{
 		Index:    i,
@@ -135,7 +129,6 @@ func (p *Pool) Free(s Slot) error {
 		return fmt.Errorf("%w: slot %d", ErrDoubleFree, s.Index)
 	}
 	delete(p.inUse, s.Index)
-	p.Releases++
 	// Discard any touched pages.
 	_ = p.AS.MadviseDontneed(s.Addr, alignUp(s.MaxBytes, OSPageSize))
 	p.free = append(p.free, s.Index)

@@ -121,8 +121,9 @@ type InstanceOptions struct {
 	Place *isolation.Placement
 
 	// Scheme selects the transition calling-convention scheme the
-	// instance's crossings are charged under. Empty defers to the
-	// placement backend's scheme, then to SchemeDefault.
+	// instance's crossings are charged under; empty means
+	// SchemeDefault. It is independent of the placement: instances under
+	// different schemes share one backend's slab.
 	Scheme isolation.Scheme
 }
 
@@ -210,19 +211,13 @@ func NewInstance(mod *Module, opts InstanceOptions) (*Instance, error) {
 	if opts.Place != nil {
 		inst.place = *opts.Place
 	}
-	// Resolve the transition scheme: an explicit option wins, then the
-	// placement backend's scheme, then SchemeDefault. The
-	// per-crossing charge and the telemetry counters are resolved here,
-	// once, so each transition pays plain adds.
-	sch := opts.Scheme
+	// The per-crossing charge and the telemetry counters are resolved
+	// here, once, so each transition pays plain adds.
 	var kind isolation.Kind
 	if b := inst.place.Backend; b != nil {
 		kind = b.Kind()
-		if sch == "" {
-			sch = b.Scheme()
-		}
 	}
-	inst.scheme = isolation.ResolveScheme(sch)
+	inst.scheme = isolation.ResolveScheme(opts.Scheme)
 	inst.transCycles = inst.scheme.BaseCycles()
 	inst.ctrKind = transCounters[kind]
 	inst.ctrScheme = schemeCounters[inst.scheme]

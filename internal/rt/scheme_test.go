@@ -191,49 +191,38 @@ func TestSchemeTierDifferential(t *testing.T) {
 	}
 }
 
-// TestInstanceSchemeFromBackend: a placed instance inherits the scheme
-// its backend was reserved under, and an explicit InstanceOptions.Scheme
-// overrides it.
+// TestInstanceSchemeFromBackend: a placed instance's scheme is its own
+// InstanceOptions.Scheme, not a property of the backend: two instances
+// in one slab run under different schemes, and an empty scheme is the
+// default.
 func TestInstanceSchemeFromBackend(t *testing.T) {
 	mod := nopTestModule(t)
 	b, err := isolation.NewReserved(isolation.GuardPage, mem.NewAS(47), isolation.Config{
 		Slots:          4,
 		MaxMemoryBytes: 1 << 20,
 		GuardBytes:     1 << 20,
-		Scheme:         isolation.SchemeZeroCost,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer b.Release()
 
-	slot, err := b.Allocate(1 << 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inst, err := NewInstance(mod, InstanceOptions{FSGSBASE: true, Place: isolation.Place(b, slot)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := inst.Scheme(); got != isolation.SchemeZeroCost {
-		t.Errorf("inherited scheme = %v, want zerocost", got)
-	}
-	inst.Close()
-
-	slot, err = b.Allocate(1 << 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inst, err = NewInstance(mod, InstanceOptions{
-		FSGSBASE: true,
-		Scheme:   isolation.SchemeTrampoline,
-		Place:    isolation.Place(b, slot),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer inst.Close()
-	if got := inst.Scheme(); got != isolation.SchemeTrampoline {
-		t.Errorf("explicit scheme = %v, want trampoline (must override the backend's)", got)
+	for _, want := range []isolation.Scheme{isolation.SchemeTrampoline, isolation.SchemeZeroCost, ""} {
+		slot, err := b.Allocate(1 << 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inst, err := NewInstance(mod, InstanceOptions{
+			FSGSBASE: true,
+			Scheme:   want,
+			Place:    isolation.Place(b, slot),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer inst.Close()
+		if got := inst.Scheme(); got != isolation.ResolveScheme(want) {
+			t.Errorf("scheme = %v, want %v", got, isolation.ResolveScheme(want))
+		}
 	}
 }

@@ -122,8 +122,8 @@ type Config struct {
 	// instead of a cold start. 0 selects the default (2); negative
 	// disables keep-warm. Targets are adjustable at runtime per backend
 	// via POST /control/warm (the cluster autoscaler's lever) and are
-	// always clamped to SlotsPerWorker-1 so a worker keeps one slot of
-	// cold-start headroom.
+	// always clamped to SlotsPerWorker-1 so each of a worker's per-kind
+	// slabs keeps one slot of cold-start headroom.
 	WarmPerWorker int
 
 	// Registry receives the server's metrics (default:
@@ -229,55 +229,6 @@ func warmMissCounters(reg *telemetry.Registry) map[isolation.Kind]*telemetry.Cou
 	return m
 }
 
-// wallBreaker adapts internal/fault's single-owner virtual-time breaker
-// to a concurrent wall-clock server: one mutex serializes it, and time
-// is nanoseconds since server start.
-type wallBreaker struct {
-	mu    sync.Mutex
-	b     *fault.Breaker
-	start time.Time
-}
-
-func newWallBreaker(cfg fault.BreakerConfig) *wallBreaker {
-	return &wallBreaker{b: fault.NewBreaker(cfg), start: time.Now()}
-}
-
-func (w *wallBreaker) now() float64 { return float64(time.Since(w.start)) }
-
-func (w *wallBreaker) Allow() bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.b.Allow(w.now())
-}
-
-func (w *wallBreaker) OnSuccess() {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.b.OnSuccess(w.now())
-}
-
-// OnFailure records a failure and reports whether it tripped the
-// breaker open (so the caller can count trips as they happen).
-func (w *wallBreaker) OnFailure() bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	before := w.b.Opens()
-	w.b.OnFailure(w.now())
-	return w.b.Opens() > before
-}
-
-func (w *wallBreaker) State() fault.BreakerState {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.b.State()
-}
-
-func (w *wallBreaker) Opens() uint64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.b.Opens()
-}
-
 // Server dispatches /invoke requests over a sharded worker pool and
 // reports health and metrics. Create with New, expose with Handler,
 // stop with BeginDrain then Close.
@@ -286,7 +237,7 @@ type Server struct {
 	kernels map[string]workloads.Kernel
 	mods    map[string]*rt.Module // compiled once, shared read-only
 	shards  []*shard
-	breaker *wallBreaker
+	breaker *fault.Breaker // on wall-clock ns since start (now)
 	met     *metrics
 	start   time.Time
 
@@ -347,7 +298,7 @@ func New(cfg Config) (*Server, error) {
 		cfg:         cfg,
 		kernels:     kernels,
 		mods:        mods,
-		breaker:     newWallBreaker(cfg.Breaker),
+		breaker:     fault.NewBreaker(cfg.Breaker),
 		met:         newMetrics(cfg.Registry),
 		flight:      telemetry.NewFlightRecorder(0),
 		start:       time.Now(),
@@ -421,6 +372,10 @@ type jobResult struct {
 	finished time.Time
 }
 
+// now is the breaker's clock: wall-clock nanoseconds since the server
+// started.
+func (s *Server) now() float64 { return float64(time.Since(s.start)) }
+
 // BeginDrain flips the server to draining: /healthz turns 503 and new
 // /invoke requests are rejected, while queued and executing requests
 // finish. Call before shutting the HTTP listener down.
@@ -478,8 +433,8 @@ func (s *Server) WarmTargets() map[isolation.Kind]int {
 }
 
 // SetWarmTarget sets the keep-warm target for kind, clamped to
-// [0, SlotsPerWorker-1] so every worker keeps one slot of cold-start
-// headroom. It returns the applied value. Workers converge lazily: the
+// [0, SlotsPerWorker-1] so every worker's slab of that kind keeps one
+// slot of cold-start headroom. It returns the applied value. Workers converge lazily: the
 // next time one touches its pool it enforces the new target (an idle
 // worker keeps its pins until then — shrink frees slots on the next
 // request, not instantly).
@@ -710,7 +665,7 @@ func (s *Server) handleInvoke(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "draining")
 		return
 	}
-	if !s.breaker.Allow() {
+	if !s.breaker.Allow(s.now()) {
 		s.met.shed.Inc()
 		w.Header().Set("Retry-After", "1")
 		writeError(w, http.StatusServiceUnavailable, "circuit breaker open")

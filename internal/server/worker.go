@@ -27,30 +27,20 @@ func compileKernel(k workloads.Kernel, harden sfi.Harden) (*rt.Module, error) {
 // worker is one executor goroutine. It owns its isolation backends
 // outright — simulated address spaces are single-owner — and runs one
 // request at a time: allocate a slot from the request's backend, build
-// a fresh instance in it, invoke the kernel, recycle the slot.
-//
-// Backends are keyed by (kind, scheme): a slab's transition cost model
-// is fixed at Reserve, so requests under different transition schemes
-// must not share a slab.
+// a fresh instance in it under the request's transition scheme, invoke
+// the kernel, recycle the slot. It keeps one slab per backend kind; the
+// scheme is a property of the instance, not of the slab.
 type worker struct {
 	s        *Server
 	id       int
 	maxBytes uint64 // largest linear memory any served kernel needs
-	backends map[backendKey]isolation.Backend
+	backends map[isolation.Kind]isolation.Backend
 
 	// warm pins recently-used instances (slot held, memory initialized)
 	// so a repeat (kernel, backend, scheme) pays an instance reset
 	// instead of the cold-start path. Owned by this goroutine, like the
 	// backends; capacity follows the server's per-backend warm targets.
 	warm *warmPool
-}
-
-// backendKey identifies one of a worker's slabs: the isolation
-// mechanism plus the transition scheme its cost model was reserved
-// under.
-type backendKey struct {
-	kind   isolation.Kind
-	scheme isolation.Scheme
 }
 
 func newWorker(s *Server, id int) *worker {
@@ -64,25 +54,21 @@ func newWorker(s *Server, id int) *worker {
 		s:        s,
 		id:       id,
 		maxBytes: maxBytes,
-		backends: make(map[backendKey]isolation.Backend),
+		backends: make(map[isolation.Kind]isolation.Backend),
 		warm:     newWarmPool(),
 	}
 }
 
-// backend returns the worker's slab for (kind, scheme), reserving it on
-// first use (a worker that never sees an MTE request never pays for an
-// MTE slab, and a worker that never sees a zerocost request never pays
-// for a second slab of the same kind).
-func (w *worker) backend(kind isolation.Kind, scheme isolation.Scheme) (isolation.Backend, error) {
-	key := backendKey{kind: kind, scheme: scheme}
-	if b, ok := w.backends[key]; ok {
+// backend returns the worker's slab for kind, reserving it on first use
+// (a worker that never sees an MTE request never pays for an MTE slab).
+func (w *worker) backend(kind isolation.Kind) (isolation.Backend, error) {
+	if b, ok := w.backends[kind]; ok {
 		return b, nil
 	}
 	cfg := isolation.Config{
 		Slots:          w.s.cfg.SlotsPerWorker,
 		MaxMemoryBytes: w.maxBytes,
 		GuardBytes:     1 << 20,
-		Scheme:         scheme,
 	}
 	if kind == isolation.ColorGuard {
 		cfg.Keys = 15
@@ -102,7 +88,7 @@ func (w *worker) backend(kind isolation.Kind, scheme isolation.Scheme) (isolatio
 		_ = b.Release()
 		return nil, fmt.Errorf("%s slot layout unsafe: %w", kind, err)
 	}
-	w.backends[key] = b
+	w.backends[kind] = b
 	return b, nil
 }
 
@@ -142,7 +128,7 @@ func (w *worker) serve(j *job) {
 	}
 	if !j.deadline.IsZero() && time.Now().After(j.deadline) {
 		w.s.met.timeouts.Inc()
-		if w.s.breaker.OnFailure() {
+		if w.s.breaker.OnFailure(w.s.now()) {
 			w.s.met.breakerOpens.Inc()
 		}
 		j.done <- jobResult{status: http.StatusGatewayTimeout,
@@ -153,10 +139,10 @@ func (w *worker) serve(j *job) {
 	if res.status == http.StatusOK {
 		w.s.met.completed.Inc()
 		w.s.met.latency.Observe(float64(time.Since(j.admitted)))
-		w.s.breaker.OnSuccess()
+		w.s.breaker.OnSuccess(w.s.now())
 	} else {
 		w.s.met.failed.Inc()
-		if w.s.breaker.OnFailure() {
+		if w.s.breaker.OnFailure(w.s.now()) {
 			w.s.met.breakerOpens.Inc()
 		}
 	}
@@ -234,7 +220,7 @@ func (w *worker) acquire(key warmKey, mod *rt.Module) (*rt.Instance, int, string
 	}
 	w.s.met.warmMisses.Inc()
 	w.s.met.warmMissKind[key.kind].Inc()
-	b, err := w.backend(key.kind, key.scheme)
+	b, err := w.backend(key.kind)
 	if err != nil {
 		return nil, http.StatusInternalServerError, err.Error()
 	}
@@ -249,6 +235,7 @@ func (w *worker) acquire(key warmKey, mod *rt.Module) (*rt.Instance, int, string
 	inst, err := rt.NewInstance(mod, rt.InstanceOptions{
 		FSGSBASE: true,
 		Place:    isolation.Place(b, slot),
+		Scheme:   key.scheme,
 	})
 	if err != nil {
 		_ = b.Recycle(slot)
