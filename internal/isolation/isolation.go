@@ -198,7 +198,7 @@ func LifecycleFor(kind Kind, preserveTags bool) LifecycleCost {
 // Backend is the unified slot lifecycle every isolation mechanism
 // implements. A backend is created empty (New), bound to an address
 // space and geometry once (Reserve), then hands out slots (Allocate),
-// returns slots to the free list (Recycle), and finally tears the slab
+// takes them back for reuse (Recycle), and finally tears the slab
 // down (Release). A backend prices nothing itself beyond the lifecycle
 // time it accumulates: its Kind is the key into TransitionForScheme and
 // LifecycleFor.
@@ -206,8 +206,8 @@ type Backend interface {
 	// Kind identifies the mechanism.
 	Kind() Kind
 
-	// Reserve maps the slab into as under cfg and prepares the free
-	// list. Must be called exactly once before any allocation.
+	// Reserve maps the slab into as under cfg and starts an empty slot
+	// table. Must be called exactly once before any allocation.
 	Reserve(as *mem.AS, cfg Config) error
 
 	// Allocate takes a free slot, opens initialBytes of it read-write
@@ -216,11 +216,13 @@ type Backend interface {
 	// the colors).
 	Allocate(initialBytes uint64) (Slot, error)
 
-	// Grow opens more of an allocated slot, up to its maximum.
+	// Grow opens more of an allocated slot, up to its maximum. Only
+	// s.Index is read; an index that is not allocated is ErrDoubleFree.
 	Grow(s Slot, upTo uint64) error
 
-	// Recycle returns a slot to the free list, discarding contents with
-	// madvise and charging the lifecycle teardown cost.
+	// Recycle makes a slot free again, discarding contents with madvise
+	// and charging the lifecycle teardown cost. Only s.Index is read; an
+	// index that is not allocated is ErrDoubleFree.
 	Recycle(s Slot) error
 
 	// Release unmaps the whole slab.
@@ -248,14 +250,13 @@ type Backend interface {
 // New returns an empty backend of the given kind.
 func New(kind Kind) (Backend, error) {
 	switch kind {
-	case GuardPage, ColorGuard:
-		// Guard pages and MPK stripes differ only in the pool geometry
-		// (poolConfig) and the pkeys pool.Pool applies on Allocate.
+	case GuardPage, ColorGuard, MultiProc:
+		// These differ only in what the slab computes from a slot's
+		// index: the pool geometry (poolConfig) with its stripe keys,
+		// and the owning process.
 		return &slab{kind: kind}, nil
 	case MTE:
 		return newMTE(), nil
-	case MultiProc:
-		return newMultiProc(), nil
 	}
 	return nil, fmt.Errorf("isolation: unknown backend kind %q", kind)
 }

@@ -3,6 +3,7 @@ package isolation
 import (
 	"errors"
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/mem"
@@ -49,11 +50,20 @@ func TestBackendsImplementLifecycle(t *testing.T) {
 		if !ok || v.Prot&(mem.ProtRead|mem.ProtWrite) != (mem.ProtRead|mem.ProtWrite) {
 			t.Fatalf("%s: slot not open after allocate (vma %+v ok=%v)", kind, v, ok)
 		}
+		b.AS().Store(s.Addr+100, 8, 42)
 		if err := b.Recycle(s); err != nil {
 			t.Fatalf("%s: recycle: %v", kind, err)
 		}
 		if b.Available() != 8 {
 			t.Fatalf("%s: available after recycle = %d, want 8", kind, b.Available())
+		}
+		// LIFO reuse hands the recycled slot back, zeroed.
+		s2, err := b.Allocate(testMemBytes)
+		if err != nil || s2.Index != s.Index {
+			t.Fatalf("%s: reallocate = slot %d, %v; want slot %d", kind, s2.Index, err, s.Index)
+		}
+		if got := b.AS().Load(s2.Addr+100, 8); got != 0 {
+			t.Fatalf("%s: recycled slot reads %d, want 0", kind, got)
 		}
 		if err := b.Release(); err != nil {
 			t.Fatalf("%s: release: %v", kind, err)
@@ -83,8 +93,10 @@ func TestDoubleReserveRejected(t *testing.T) {
 	}
 }
 
-// TestBackendDoubleRecycle: recycling a slot twice is the pool
-// double-free, surfaced through the backend for every kind.
+// TestBackendDoubleRecycle: recycling a slot that is not allocated — a
+// second recycle, a never-allocated index, an index out of range — is
+// a double free on every kind: rejected, with the table and the
+// teardown accounting unchanged.
 func TestBackendDoubleRecycle(t *testing.T) {
 	for _, kind := range Kinds() {
 		b := reserved(t, kind, smallConfig())
@@ -95,14 +107,138 @@ func TestBackendDoubleRecycle(t *testing.T) {
 		if err := b.Recycle(s); err != nil {
 			t.Fatal(err)
 		}
-		if err := b.Recycle(s); !errors.Is(err, pool.ErrDoubleFree) {
-			t.Fatalf("%s: second recycle: %v, want ErrDoubleFree", kind, err)
+		for _, bad := range []Slot{s, {Index: 1}, {Index: -1}, {Index: 99}} {
+			if err := b.Recycle(bad); !errors.Is(err, ErrDoubleFree) {
+				t.Fatalf("%s: recycle of slot %d: %v, want ErrDoubleFree", kind, bad.Index, err)
+			}
+		}
+		if b.Available() != 8 {
+			t.Fatalf("%s: available after bad recycles = %d, want 8", kind, b.Available())
 		}
 		// The double free must not double the teardown accounting.
 		_, teardown := b.LifecycleNs()
 		want := LifecycleFor(kind, false).TeardownNs(testMemBytes)
 		if teardown != want {
 			t.Fatalf("%s: teardown after double recycle = %v, want %v", kind, teardown, want)
+		}
+	}
+}
+
+// TestSlotLookedUpByIndex: Grow and Recycle read only the index of the
+// Slot they are handed, and take the address and maximum size from the
+// slab's own table, so a stale or forged copy can neither open guard
+// space nor discard another live slot.
+func TestSlotLookedUpByIndex(t *testing.T) {
+	for _, kind := range Kinds() {
+		b := reserved(t, kind, smallConfig())
+		s0, err := b.Allocate(testMemBytes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s1, err := b.Allocate(testMemBytes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Growing a never-allocated slot opens nothing.
+		if err := b.Grow(Slot{Index: 5, Addr: s0.Addr + 5*b.Layout().SlotBytes, MaxBytes: testMemBytes}, testMemBytes); !errors.Is(err, ErrDoubleFree) {
+			t.Fatalf("%s: grow of unallocated slot: %v, want ErrDoubleFree", kind, err)
+		}
+		// An inflated maximum cannot open the guard space after a slot.
+		big := s0
+		big.MaxBytes = 4 * testMemBytes
+		if err := b.Grow(big, 2*testMemBytes); err == nil {
+			t.Fatalf("%s: grow past the slot maximum accepted", kind)
+		}
+		if v, ok := b.AS().VMAAt(s0.Addr + testMemBytes); !ok || v.Prot != mem.ProtNone {
+			t.Fatalf("%s: guard after slot 0 = %+v ok=%v, want PROT_NONE", kind, v, ok)
+		}
+		// Recycling slot 0 through a copy that carries slot 1's address
+		// and an inflated maximum discards slot 0 only, at slot 0's price.
+		b.AS().Store(s1.Addr, 8, 42)
+		forged := Slot{Index: s0.Index, Addr: s1.Addr, MaxBytes: 3 * testMemBytes}
+		if err := b.Recycle(forged); err != nil {
+			t.Fatalf("%s: recycle: %v", kind, err)
+		}
+		if got := b.AS().Load(s1.Addr, 8); got != 42 {
+			t.Fatalf("%s: live slot 1 reads %d after recycling slot 0, want 42", kind, got)
+		}
+		if _, teardown := b.LifecycleNs(); teardown != LifecycleFor(kind, false).TeardownNs(testMemBytes) {
+			t.Fatalf("%s: teardown = %v, want one slot's %v", kind, teardown, LifecycleFor(kind, false).TeardownNs(testMemBytes))
+		}
+	}
+}
+
+// TestAllocateFailureKeepsSlotFree: an allocation that cannot open its
+// slot — an initial size above the slot maximum, or the mapping hitting
+// vm.max_map_count, which striping makes likelier (§5.1) — is reported
+// and leaves the slot free and the accounting unchanged.
+func TestAllocateFailureKeepsSlotFree(t *testing.T) {
+	for _, kind := range Kinds() {
+		as := mem.NewAS(47)
+		as.MaxMapCount = 40
+		b, err := NewReserved(kind, as, Config{Slots: 64, MaxMemoryBytes: 1 << 20, GuardBytes: 4 << 20, Keys: 15})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := b.Allocate(2 << 20); err == nil {
+			t.Fatalf("%s: initial size above the slot maximum accepted", kind)
+		}
+		if b.Available() != 64 {
+			t.Fatalf("%s: available after oversized allocate = %d, want 64", kind, b.Available())
+		}
+		if initNs, _ := b.LifecycleNs(); initNs != 0 {
+			t.Fatalf("%s: oversized allocate charged %v ns", kind, initNs)
+		}
+		allocated := 0
+		for ; allocated < 64; allocated++ {
+			initNs, _ := b.LifecycleNs()
+			if _, err = b.Allocate(1 << 20); err != nil {
+				if after, _ := b.LifecycleNs(); after != initNs {
+					t.Fatalf("%s: failed allocate charged %v ns", kind, after-initNs)
+				}
+				break
+			}
+		}
+		if !errors.Is(err, mem.ErrMapCount) {
+			t.Fatalf("%s: after %d slots: err = %v, want ErrMapCount", kind, allocated, err)
+		}
+		if b.Available() != 64-allocated {
+			t.Fatalf("%s: available = %d, want %d", kind, b.Available(), 64-allocated)
+		}
+		as.MaxMapCount = 0
+		if s, err := b.Allocate(1 << 20); err != nil || s.Index != allocated {
+			t.Fatalf("%s: allocate after raising the limit = slot %d, %v; want slot %d", kind, s.Index, err, allocated)
+		}
+	}
+}
+
+// TestReserveHostMemory: the slot table starts empty, so reserving the
+// §6.4.2 density layouts — 14,505 guard-page slots and 217,585
+// ColorGuard slots in 85 TiB — allocates the same few host bytes
+// whatever the slot count. Not parallel: TotalAlloc counts the whole
+// process.
+func TestReserveHostMemory(t *testing.T) {
+	maxMem := uint64(408) << 20
+	cfg := Config{MaxMemoryBytes: maxMem, GuardBytes: 6<<30 - maxMem, TotalBytes: 85 << 40, Keys: 15}
+	for _, c := range []struct {
+		kind  Kind
+		slots int
+	}{{GuardPage, 14505}, {ColorGuard, 217585}} {
+		as := mem.NewAS(47)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		b, err := NewReserved(c.kind, as, cfg)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b.Capacity() != c.slots {
+			t.Fatalf("%s: %d slots, want %d", c.kind, b.Capacity(), c.slots)
+		}
+		alloc := after.TotalAlloc - before.TotalAlloc
+		t.Logf("%s: Reserve of %d slots allocated %d B", c.kind, c.slots, alloc)
+		if alloc >= 64<<10 {
+			t.Fatalf("%s: Reserve allocated %d B of host memory, want < 64 KiB", c.kind, alloc)
 		}
 	}
 }
@@ -232,7 +368,7 @@ func TestMTEPreservingMadviseSkipsRetag(t *testing.T) {
 	}
 }
 
-// TestGuardPageRecycledSlotStaysGuarded: after a recycle, the guard
+// TestGuardPageSlotGeometry: after a recycle, the guard
 // space around a guard-page slot is still PROT_NONE, and the next slot
 // over is unreachable.
 func TestGuardPageSlotGeometry(t *testing.T) {
@@ -268,9 +404,6 @@ func TestMultiProcDealsSlots(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Processes = 3
 	b := reserved(t, MultiProc, cfg)
-	if got := b.(*multiProc).Processes(); got != 3 {
-		t.Fatalf("processes = %d, want 3", got)
-	}
 	for i := 0; i < 6; i++ {
 		s, err := b.Allocate(testMemBytes)
 		if err != nil {

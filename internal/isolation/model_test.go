@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/mem"
-	"repro/internal/pool"
 	"repro/internal/stats"
 )
 
@@ -53,7 +52,7 @@ func newSlabModel(kind Kind, b Backend, cfg Config) *slabModel {
 // allocate checks one Allocate against the model and applies it.
 func (m *slabModel) allocate(s Slot, err error, initialBytes uint64) error {
 	if len(m.free) == 0 {
-		if !errors.Is(err, pool.ErrExhausted) {
+		if !errors.Is(err, ErrExhausted) {
 			return fmt.Errorf("allocate with no free slot: err %v, want ErrExhausted", err)
 		}
 		return nil
@@ -96,7 +95,7 @@ func (m *slabModel) allocate(s Slot, err error, initialBytes uint64) error {
 // recycle checks one Recycle of s against the model and applies it.
 func (m *slabModel) recycle(s Slot, err error) error {
 	if _, ok := m.inUse[s.Index]; !ok {
-		if !errors.Is(err, pool.ErrDoubleFree) {
+		if !errors.Is(err, ErrDoubleFree) {
 			return fmt.Errorf("recycle of free slot %d: err %v, want ErrDoubleFree", s.Index, err)
 		}
 		return nil

@@ -14,21 +14,10 @@ import (
 type mteBackend struct {
 	slab
 	tags *mte.TagStore
-
-	// tagged and retag track which slots currently hold their color:
-	// never-tagged and discarded slots must be (re)tagged on Allocate.
-	tagged map[int]bool
-	retag  map[int]bool
 }
 
 func newMTE() *mteBackend {
-	b := &mteBackend{
-		tags:   mte.NewTagStore(),
-		tagged: make(map[int]bool),
-		retag:  make(map[int]bool),
-	}
-	b.slab.kind = MTE
-	return b
+	return &mteBackend{slab: slab{kind: MTE}, tags: mte.NewTagStore()}
 }
 
 // TagForSlot returns the MTE tag of slot i: colors cycle through the 15
@@ -38,32 +27,14 @@ func TagForSlot(i int) uint8 { return uint8(1 + i%15) }
 // Tags exposes the granule tag store (for tests and trap checking).
 func (b *mteBackend) Tags() *mte.TagStore { return b.tags }
 
+// Allocate tags the opened prefix when the slab charged a (re)coloring:
+// on a slot's first use, and on reuse after a discarding recycle.
 func (b *mteBackend) Allocate(initialBytes uint64) (Slot, error) {
-	if b.p == nil {
-		return Slot{}, ErrNotReserved
-	}
-	// Peek whether the slot we are about to take needs (re)tagging; the
-	// pool hands out slots LIFO, but the coloring state is per-index,
-	// so decide after the pool picks.
-	ps, err := b.p.Allocate(initialBytes)
-	if err != nil {
-		return Slot{}, err
-	}
-	sl := Slot{Index: ps.Index, Addr: ps.Addr, MaxBytes: ps.MaxBytes, Tag: TagForSlot(ps.Index)}
-	recolor := !b.tagged[sl.Index] || b.retag[sl.Index]
-	if recolor && initialBytes > 0 {
+	sl, recolor, err := b.allocate(initialBytes)
+	if err == nil && recolor && initialBytes > 0 {
 		b.tags.TagRange(sl.Addr, initialBytes, sl.Tag)
 	}
-	if recolor {
-		b.tagged[sl.Index] = true
-		delete(b.retag, sl.Index)
-	}
-	b.initNs += b.life.InitNs(initialBytes, recolor)
-	b.ctrAlloc.Inc()
-	if recolor {
-		b.ctrColor.Inc()
-	}
-	return sl, nil
+	return sl, err
 }
 
 // Grow opens more of the slot and maintains the coloring invariant:
@@ -72,28 +43,19 @@ func (b *mteBackend) Allocate(initialBytes uint64) (Slot, error) {
 // already-tagged granules — the bookkeeping charges the tagged prefix
 // once, in Allocate).
 func (b *mteBackend) Grow(s Slot, upTo uint64) error {
-	if err := b.slab.Grow(s, upTo); err != nil {
-		return err
+	sl, err := b.grow(s.Index, upTo)
+	if err == nil && upTo > 0 {
+		b.tags.TagRange(sl.Addr, upTo, sl.Tag)
 	}
-	if upTo > 0 {
-		b.tags.TagRange(s.Addr, upTo, s.Tag)
-	}
-	return nil
+	return err
 }
 
+// Recycle drops the slot's tags with its pages unless madvise preserves
+// them.
 func (b *mteBackend) Recycle(s Slot) error {
-	if b.p == nil {
-		return ErrNotReserved
+	sl, err := b.recycle(s.Index)
+	if err == nil && b.life.RecolorOnReuse {
+		b.tags.ClearRange(sl.Addr, sl.MaxBytes)
 	}
-	if err := b.p.Free(poolSlot(s)); err != nil {
-		return err
-	}
-	b.teardownNs += b.life.TeardownNs(s.MaxBytes)
-	b.ctrRecycle.Inc()
-	if b.life.RecolorOnReuse {
-		// madvise discarded the tags with the pages.
-		b.tags.ClearRange(s.Addr, s.MaxBytes)
-		b.retag[s.Index] = true
-	}
-	return nil
+	return err
 }

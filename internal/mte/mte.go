@@ -1,8 +1,8 @@
 // Package mte models ColorGuard-MTE (§7): ARM's memory tagging
 // extension colors 16-byte granules instead of pages, with tags checked
-// against bits 63:60 of every pointer. The package reproduces the two
-// performance observations the paper makes on real MTE hardware
-// (a Pixel 8 Pro):
+// against bits 63:60 of every pointer. The package holds the granule
+// tag store and the cost constants behind the two performance
+// observations the paper makes on real MTE hardware (a Pixel 8 Pro):
 //
 //	Observation 1 — user-level tagging moves at most two granules
 //	(32 bytes) per instruction, so striping a linear memory is slow:
@@ -14,8 +14,9 @@
 //	next allocation.
 //
 // The cost constants are the paper's measured values, expressed per
-// byte; the proposed fix (a tag-preserving madvise flag) is modeled so
-// its benefit can be quantified.
+// byte. internal/isolation's MTE backend charges them (LifecycleFor),
+// with and without the proposed fix — a tag-preserving madvise flag —
+// so its benefit can be quantified.
 //
 // Those simulated charges are per byte; the host cost of keeping the
 // tags is not. TagStore is sparse by chunk — 256 granules, the tags of
@@ -246,56 +247,4 @@ func (ts *TagStore) Check(ptr uint64, size uint64) error {
 		}
 	}
 	return nil
-}
-
-// Allocator models the Wasm slot allocator on MTE hardware, accounting
-// wall-clock costs per the measured constants.
-type Allocator struct {
-	// MTE enables tagging (ColorGuard-MTE); disabled, the allocator
-	// behaves like the plain baseline.
-	MTE bool
-
-	// PreserveTagsOnMadvise models the paper's proposed fix: an
-	// madvise flag that leaves tags invariant, making recycling as
-	// cheap as under MPK.
-	PreserveTagsOnMadvise bool
-
-	Tags *TagStore
-
-	// Accumulated costs in nanoseconds.
-	InitNs     float64
-	TeardownNs float64
-
-	// retagNeeded tracks slots whose tags were discarded.
-	retagNeeded map[uint64]bool
-}
-
-// NewAllocator returns an allocator with an empty tag store.
-func NewAllocator(mte bool) *Allocator {
-	return &Allocator{MTE: mte, Tags: NewTagStore(), retagNeeded: make(map[uint64]bool)}
-}
-
-// InitInstance prepares a linear memory of size bytes at base with the
-// given color, charging the measured costs. Re-initializing a recycled
-// slot whose tags survived costs only the base.
-func (a *Allocator) InitInstance(base, size uint64, tag uint8) {
-	cost := InitBaseNs * float64(size) / 65536
-	if a.MTE && (a.retagNeeded[base] || a.Tags.Get(base) != tag) {
-		cost += TagNsPerByte * float64(size)
-		a.Tags.TagRange(base, size, tag)
-		delete(a.retagNeeded, base)
-	}
-	a.InitNs += cost
-}
-
-// TeardownInstance recycles the slot with madvise, charging the tag
-// discarding penalty unless the preserving flag is set.
-func (a *Allocator) TeardownInstance(base, size uint64) {
-	cost := TeardownBaseNs * float64(size) / 65536
-	if a.MTE && !a.PreserveTagsOnMadvise {
-		cost += TagClearNsPerByte * float64(size)
-		a.Tags.ClearRange(base, size)
-		a.retagNeeded[base] = true
-	}
-	a.TeardownNs += cost
 }

@@ -2,7 +2,6 @@ package mte
 
 import (
 	"errors"
-	"math"
 	"testing"
 	"testing/quick"
 )
@@ -49,94 +48,5 @@ func TestStripingWithTags(t *testing.T) {
 	}
 	if err := ts.Check(WithTag(0, 1), 1024); err != nil {
 		t.Fatalf("own-color full-range access rejected: %v", err)
-	}
-}
-
-// TestObservation1 reproduces §7: initializing a 64 KiB memory costs
-// ≈79 µs without MTE and ≈2,182 µs with user-level tagging.
-func TestObservation1(t *testing.T) {
-	const size = 65536
-	plain := NewAllocator(false)
-	plain.InitInstance(0, size, 1)
-	mte := NewAllocator(true)
-	mte.InitInstance(0, size, 1)
-
-	if math.Abs(plain.InitNs-79_000) > 1 {
-		t.Errorf("plain init = %.0f ns, want 79,000", plain.InitNs)
-	}
-	if math.Abs(mte.InitNs-2_182_000) > 1 {
-		t.Errorf("mte init = %.0f ns, want 2,182,000", mte.InitNs)
-	}
-	ratio := mte.InitNs / plain.InitNs
-	if ratio < 20 || ratio > 35 {
-		t.Errorf("init slowdown = %.1fx, expected ≈27x", ratio)
-	}
-}
-
-// TestObservation2 reproduces §7: teardown goes from ≈29 µs to ≈377 µs
-// because madvise discards tags, and the next init must re-tag.
-func TestObservation2(t *testing.T) {
-	const size = 65536
-	mte := NewAllocator(true)
-	mte.InitInstance(0, size, 1)
-	firstInit := mte.InitNs
-	mte.TeardownInstance(0, size)
-	if math.Abs(mte.TeardownNs-377_000) > 1 {
-		t.Errorf("mte teardown = %.0f ns, want 377,000", mte.TeardownNs)
-	}
-	// Tags were discarded: re-init pays the tagging cost again.
-	mte.InitInstance(0, size, 1)
-	if mte.InitNs < 2*firstInit-1 {
-		t.Errorf("recycled init did not re-tag: %.0f vs first %.0f", mte.InitNs, firstInit)
-	}
-
-	plain := NewAllocator(false)
-	plain.TeardownInstance(0, size)
-	if math.Abs(plain.TeardownNs-29_000) > 1 {
-		t.Errorf("plain teardown = %.0f ns, want 29,000", plain.TeardownNs)
-	}
-}
-
-// TestProposedFix quantifies the tag-preserving madvise: recycling
-// becomes as cheap as the baseline and re-init skips re-tagging —
-// the MPK-like behaviour the paper asks the OS for.
-func TestProposedFix(t *testing.T) {
-	const size = 65536
-	fixed := NewAllocator(true)
-	fixed.PreserveTagsOnMadvise = true
-	fixed.InitInstance(0, size, 1)
-	firstInit := fixed.InitNs
-	fixed.TeardownInstance(0, size)
-	if math.Abs(fixed.TeardownNs-29_000) > 1 {
-		t.Errorf("preserving teardown = %.0f ns, want 29,000", fixed.TeardownNs)
-	}
-	fixed.InitInstance(0, size, 1)
-	reinit := fixed.InitNs - firstInit
-	if math.Abs(reinit-79_000) > 1 {
-		t.Errorf("recycled init = %.0f ns, want 79,000 (no re-tagging)", reinit)
-	}
-	// Tags must actually still be there.
-	if err := fixed.Tags.Check(WithTag(0x10, 1), 16); err != nil {
-		t.Errorf("tags lost despite preserving flag: %v", err)
-	}
-}
-
-// TestFortyInstances mirrors the paper's exact experiment: forty 64 KiB
-// memories.
-func TestFortyInstances(t *testing.T) {
-	const size = 65536
-	mte := NewAllocator(true)
-	for i := uint64(0); i < 40; i++ {
-		mte.InitInstance(i*size, size, uint8(1+i%15))
-	}
-	perInstance := mte.InitNs / 40
-	if perInstance < 2_000_000 || perInstance > 2_400_000 {
-		t.Errorf("per-instance init = %.0f ns, want ≈2,182,000", perInstance)
-	}
-	for i := uint64(0); i < 40; i++ {
-		mte.TeardownInstance(i*size, size)
-	}
-	if per := mte.TeardownNs / 40; per < 300_000 || per > 450_000 {
-		t.Errorf("per-instance teardown = %.0f ns, want ≈377,000", per)
 	}
 }

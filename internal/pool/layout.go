@@ -1,8 +1,9 @@
-// Package pool implements the Wasmtime-style pooling allocator of §5.1:
-// a single large mmap (the slab) split into fixed-size slots delimited
-// by guard regions, recycled with madvise(MADV_DONTNEED), and — with
-// ColorGuard — striped with MPK colors so slots can pack into the space
-// classic layouts waste on guards.
+// Package pool is the layout and striping arithmetic of the
+// Wasmtime-style pooling allocator of §5.1: how a single large mmap (the
+// slab) splits into fixed-size slots delimited by guard regions, and —
+// with ColorGuard — which MPK color each slot gets so slots can pack
+// into the space classic layouts waste on guards. It holds no allocator
+// state; internal/isolation owns the slots a layout describes.
 //
 // The slot-layout computation is the security-critical piece the paper
 // formally verified (§5.2, Table 1). ComputeLayout is the fixed version
@@ -76,6 +77,41 @@ type Layout struct {
 	MaxMemoryBytes    uint64
 	ExpectedSlotBytes uint64
 	GuardBytes        uint64
+}
+
+// SlotOffset returns the offset of slot i from the start of the slab.
+func (l Layout) SlotOffset(i int) uint64 {
+	return l.PreSlabGuardBytes + uint64(i)*l.SlotBytes
+}
+
+// KeyForSlot returns the MPK color of slot i under the layout's
+// striping (0 when the layout does not stripe).
+func (l Layout) KeyForSlot(i int) uint8 { return keyForSlot(i, l.NumStripes) }
+
+// CheckIsolation validates the striping safety property: same-colored
+// slots are at least the guard requirement apart, and the final slot is
+// protected by the post-slab guard. Small layouts are checked
+// exhaustively; large ones use the analytic form (slots are uniformly
+// spaced, so the nearest same-color pair determines the bound).
+func (l Layout) CheckIsolation() error {
+	if l.NumSlots <= 4096 {
+		addrs := make([]uint64, l.NumSlots)
+		for i := range addrs {
+			addrs[i] = l.SlotOffset(i)
+		}
+		if err := checkStriping(addrs, l.MaxMemoryBytes, l.GuardBytes, l.KeyForSlot); err != nil {
+			return err
+		}
+	} else if l.NumStripes > 1 {
+		gap := uint64(l.NumStripes)*l.SlotBytes - l.MaxMemoryBytes
+		if gap < l.GuardBytes {
+			return fmt.Errorf("pool: same-color gap %d below guard requirement %d", gap, l.GuardBytes)
+		}
+	}
+	if l.PostSlabGuardBytes < l.GuardBytes {
+		return fmt.Errorf("pool: post-slab guard %d below requirement %d", l.PostSlabGuardBytes, l.GuardBytes)
+	}
+	return nil
 }
 
 // BytesToNextStripeSlot returns the distance from a slot's start to the

@@ -8,7 +8,8 @@
 # 4. The documented commands run, in cheap smoke configurations —
 #    including the fault-injection flags — and so does every program
 #    under examples/.
-# 5. The deleted legacy perf record stays out of the docs.
+# 5. Deleted names stay out of the docs: the legacy perf record, and
+#    the slot allocators the isolation slab's table replaced.
 #
 # Run via `make docscheck`; `make ci` (and so CI) includes it.
 set -eu
@@ -117,12 +118,18 @@ if go run ./cmd/benchtab -harden retpoline -o /dev/null transition >/dev/null 2>
     err "benchtab accepted -harden retpoline"
 fi
 
-# --- 5. one perf record ------------------------------------------------
+# --- 5. deleted names -------------------------------------------------
 # bench/ (bash bench/run.sh) is the only performance record; the names of
 # the timing trajectory it replaced must not drift back into the docs.
 if grep -rnE 'make results|BENCH_(results|history)|benchdiff|benchgate|REPRO_TIER' \
     README.md EXPERIMENTS.md DESIGN.md ARCHITECTURE.md docs/ .claude/ >&2; then
     err "docs mention the deleted legacy perf record (lines above)"
+fi
+# The isolation slab's table is the only slot state; the pool allocator
+# and the test-only MTE allocator it replaced stay gone from the docs.
+if grep -rnE 'pool\.(Pool|Slot)\b|pool\.New\(|mte\.Allocator|NewAllocator' \
+    README.md EXPERIMENTS.md DESIGN.md ARCHITECTURE.md docs/ .claude/ >&2; then
+    err "docs mention a deleted slot allocator (lines above)"
 fi
 
 if [ "$fail" -ne 0 ]; then
