@@ -1,17 +1,15 @@
 package cpu
 
 import (
-	"fmt"
 	"slices"
-	"strings"
 	"time"
 
 	"repro/internal/telemetry"
 	"repro/internal/x86"
 )
 
-// This file is the tier-2 superinstruction compiler. Profiling (see
-// profile.go) marks hot instructions; the former scans each function
+// This file is the tier-2 superinstruction compiler. The first time a
+// fused-tier machine runs a Program, the former scans every function
 // and fuses adjacent runs of classifiable instructions — the sequences
 // the SFI compilers emit around every sandboxed access (truncate+access,
 // lea+cmp+trapif bounds checks, compare+branch, load+mask+ALU) — into a
@@ -133,37 +131,20 @@ var (
 	ctrFuseCompileNs = telemetry.Default.Counter("cpu.fuse.compile_ns")
 )
 
-// buildFusedLocked compiles and publishes the fused stream. Callers
-// hold p.fuseMu and have checked fusedP is still nil.
-func (p *Program) buildFusedLocked(eager bool) {
-	start := time.Now()
-	dec := p.decoded()
-	// Hotness is per function, like a tiered JIT promoting whole hot
-	// functions: a function whose profiled execution count crosses the
-	// threshold is fused in full, so phases of it the warmup window
-	// never reached still execute fused. Functions the profile never
-	// (meaningfully) saw stay as singleton streams.
-	hotFn := make([]bool, len(dec))
-	for fn := range dec {
-		if eager {
-			hotFn[fn] = true
-			continue
+// fusedStream returns the fused overlay, building it for the whole
+// program the first time a fused-tier machine runs it; every later
+// caller, on any goroutine, gets the same overlay.
+func (p *Program) fusedStream() []decFunc {
+	p.fuseOnce.Do(func() {
+		start := time.Now()
+		fp := fuseProgram(p.decoded())
+		if telemetry.Enabled() {
+			ctrFuseBlocks.Add(uint64(fp.blocks))
+			ctrFuseCompileNs.Add(uint64(time.Since(start).Nanoseconds()))
 		}
-		var sum uint64
-		for _, c := range p.profAgg[fn] {
-			sum += uint64(c)
-		}
-		hotFn[fn] = sum >= uint64(fuseHotCount)
-	}
-	hot := func(fn, pc int) bool { return hotFn[fn] }
-	fp := fuseProgram(dec, hot)
-	p.fuseBuilds.Add(1)
-	p.profAgg = nil // profiling is over; free the counts
-	if telemetry.Enabled() {
-		ctrFuseBlocks.Add(uint64(fp.blocks))
-		ctrFuseCompileNs.Add(uint64(time.Since(start).Nanoseconds()))
-	}
-	p.fusedP.Store(fp)
+		p.fused.Store(fp)
+	})
+	return p.fused.Load().funcs
 }
 
 // leaders returns the set of branch-entry points of one decoded
@@ -196,17 +177,17 @@ func leaders(insts []dinst) []bool {
 }
 
 // fuseProgram copies the decoded program into a fused stream, forming
-// superinstruction groups at hot heads. Formation is greedy and
-// non-overlapping: at each hot pc it takes the longest classifiable run
-// (up to maxGroup) that does not cross a leader, requires at least two
-// constituents, and allows a branch only as the final constituent.
-func fuseProgram(dec []decFunc, hot func(fn, pc int) bool) *fusedProg {
+// superinstruction groups. Formation is greedy and non-overlapping: at
+// each pc it takes the longest classifiable run (up to maxGroup) that
+// does not cross a leader, requires at least two constituents, and
+// allows a branch only as the final constituent.
+func fuseProgram(dec []decFunc) *fusedProg {
 	fp := &fusedProg{funcs: make([]decFunc, len(dec))}
 	for fn := range dec {
 		insts := dec[fn].insts
 		ld := leaders(insts)
 		// A clone, never an alias: the decoded stream is what the fast
-		// tier and every profile pass execute, so it must stay group-free.
+		// tier executes, so it must stay group-free.
 		out := slices.Clone(insts)
 		// All of a function's steps go into one contiguous arena, laid
 		// out in execution order, so the group executor walks a dense
@@ -217,10 +198,6 @@ func fuseProgram(dec []decFunc, hot func(fn, pc int) bool) *fusedProg {
 		type groupRef struct{ pc, off, n int }
 		var groups []groupRef
 		for pc := 0; pc < len(insts); {
-			if !hot(fn, pc) {
-				pc++
-				continue
-			}
 			start := len(arena)
 			var xBytes uint32
 			for i := pc; i < len(insts) && len(arena)-start < maxGroup; i++ {
@@ -423,28 +400,4 @@ func classifyStep(in *dinst) (fstep, bool) {
 		return st, false
 	}
 	return st, true
-}
-
-// FuseDebugDump summarizes static fusion coverage, for tests and
-// debugging.
-func FuseDebugDump(p *Program) string {
-	fp := p.fusedP.Load()
-	if fp == nil {
-		return "no fused stream"
-	}
-	var b strings.Builder
-	totIn, totGrp, totCons := 0, 0, 0
-	for fn := range fp.funcs {
-		insts := fp.funcs[fn].insts
-		for pc := range insts {
-			if insts[pc].op == opGroup {
-				totGrp++
-				totCons += len(insts[pc].steps)
-			}
-		}
-		totIn += len(insts)
-	}
-	fmt.Fprintf(&b, "insts=%d groups=%d constituents=%d (%.0f%%)\n",
-		totIn, totGrp, totCons, 100*float64(totCons)/float64(totIn))
-	return b.String()
 }

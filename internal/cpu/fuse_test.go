@@ -50,7 +50,7 @@ func TestFuseFormerShapes(t *testing.T) {
 	f := fuseLoop()
 	f.Encode()
 	p := &Program{Funcs: []*Func{f}}
-	fp := fuseProgram(p.decoded(), func(fn, pc int) bool { return true })
+	fp := fuseProgram(p.decoded())
 
 	insts := fp.funcs[0].insts
 	type g struct{ pc, n int }
@@ -105,114 +105,14 @@ func TestFuseFormerShapes(t *testing.T) {
 	}
 }
 
-// TestFuseProfileTriggered checks the profile-guided path end to end:
-// a fused-tier machine profiles on the decoded stream, crosses the
-// warmup threshold mid-call, builds the fused overlay exactly once, and
-// finishes with the bit-identical result.
-func TestFuseProfileTriggered(t *testing.T) {
-	restore := SetFuseWarmup(500, 4)
-	defer restore()
-
-	cold := &Func{Name: "cold", Insts: []x86.Inst{
-		{Op: x86.MOV, W: x86.W64, Dst: x86.R(x86.RAX), Src: x86.Imm(9)},
-		{Op: x86.RET},
-	}}
-	m, _ := testEnv(t, fuseLoop(), cold)
-	m.Tier = TierFused
-
-	if err := m.Call(0, 1000); err != nil {
-		t.Fatal(err)
-	}
-	if m.Result() != 499500 {
-		t.Fatalf("sum(1000) = %d", m.Result())
-	}
-	if got := m.Prog.FuseBuilds(); got != 1 {
-		t.Fatalf("FuseBuilds = %d, want 1 (warmup crossed mid-call)", got)
-	}
-	fp := m.Prog.fusedP.Load()
-	if fp == nil {
-		t.Fatal("no fused stream after warmup")
-	}
-	// The hot loop function fused; the never-executed function did not.
-	hotGroups, coldGroups := 0, 0
-	for pc := range fp.funcs[0].insts {
-		if fp.funcs[0].insts[pc].op == opGroup {
-			hotGroups++
-		}
-	}
-	for pc := range fp.funcs[1].insts {
-		if fp.funcs[1].insts[pc].op == opGroup {
-			coldGroups++
-		}
-	}
-	if hotGroups == 0 {
-		t.Fatal("hot function formed no groups")
-	}
-	if coldGroups != 0 {
-		t.Fatalf("cold function formed %d groups", coldGroups)
-	}
-
-	// Later calls run on the existing stream; no rebuild.
-	if err := m.Call(0, 10); err != nil {
-		t.Fatal(err)
-	}
-	if m.Result() != 45 {
-		t.Fatalf("sum(10) = %d", m.Result())
-	}
-	if got := m.Prog.FuseBuilds(); got != 1 {
-		t.Fatalf("FuseBuilds = %d after second call, want 1", got)
-	}
-
-	// The budget bail sits inside the one decoded loop, so put it on
-	// every instruction boundary of a run — group heads, interiors, the
-	// instruction about to trap — and require the resumed run to equal
-	// the oracle's field for field.
-	for _, k := range []struct {
-		name  string
-		fn    func() *Func
-		args  func(heap uint64) []uint64
-		traps bool
-	}{
-		{"loop", fuseLoop, func(uint64) []uint64 { return []uint64{40} }, false},
-		// Seven words below the end of the 1 MiB heap: the bounds check
-		// fires at the fourth, or the guard page at the eighth.
-		{"trapif", fuseWalk, func(h uint64) []uint64 { return []uint64{h + 1<<20 - 64, h + 1<<20 - 40} }, true},
-		{"fault", fuseWalk, func(h uint64) []uint64 { return []uint64{h + 1<<20 - 64, ^uint64(0)} }, true},
-	} {
-		run := func(tier Tier) (*Machine, error) {
-			m, heap := testEnv(t, k.fn())
-			m.Tier = tier
-			for i := uint64(0); i < 64; i += 8 {
-				m.AS.Store(heap+1<<20-64+i, 8, i+1)
-			}
-			err := m.Call(0, k.args(heap)...)
-			return m, err
-		}
-		slow, errS := run(TierSlow)
-		if (errS != nil) != k.traps {
-			t.Fatalf("%s: oracle returned %v", k.name, errS)
-		}
-		for budget := int64(1); budget <= int64(slow.Stats.Insts); budget++ {
-			restoreB := SetFuseWarmup(budget, 1)
-			got, errG := run(TierFused)
-			restoreB()
-			sameRun(t, fmt.Sprintf("%s/budget=%d fused", k.name, budget), got, errG, slow, errS)
-			if b := got.Prog.FuseBuilds(); b != 1 {
-				t.Fatalf("%s/budget=%d: FuseBuilds = %d, want 1", k.name, budget, b)
-			}
-		}
-	}
-}
-
 // TestFuseTelemetry checks the tier-2 counters: cpu.fuse.blocks records
-// the build, and cpu.dispatch.{slow,fast,fused} say which engine and
-// stream each Run used — fast is a run of the decoded stream (the fast
-// tier, and every fused-tier profile pass), fused a run of the overlay.
+// the one build of the overlay, on the Program's first fused-tier run,
+// and cpu.dispatch.{slow,fast,fused} say which engine and stream each
+// Run used — fast a run of the decoded stream, fused a run of the
+// overlay.
 func TestFuseTelemetry(t *testing.T) {
 	telemetry.SetEnabled(true)
 	defer telemetry.SetEnabled(false)
-	restore := SetFuseWarmup(500, 4)
-	defer restore()
 
 	names := [...]string{"cpu.dispatch.slow", "cpu.dispatch.fast", "cpu.dispatch.fused", "cpu.fuse.blocks"}
 	load := func() (v [len(names)]uint64) {
@@ -230,9 +130,8 @@ func TestFuseTelemetry(t *testing.T) {
 		n    uint64
 		want [len(names)]uint64 // deltas
 	}{
-		{"short fused-tier run: a profile pass only", TierFused, 10, [...]uint64{0, 1, 0, 0}},
-		{"long fused-tier run: profile pass, build, resume on the overlay", TierFused, 1000, [...]uint64{0, 1, 1, 3}},
-		{"fused-tier run after the build", TierFused, 10, [...]uint64{0, 0, 1, 0}},
+		{"first fused-tier run: build, then run the overlay", TierFused, 10, [...]uint64{0, 0, 1, 3}},
+		{"next fused-tier run: the same overlay", TierFused, 10, [...]uint64{0, 0, 1, 0}},
 		{"fast tier on the fused Program", TierFast, 10, [...]uint64{0, 1, 0, 0}},
 		{"slow tier", TierSlow, 10, [...]uint64{1, 0, 0, 0}},
 	} {
@@ -253,80 +152,112 @@ func TestFuseTelemetry(t *testing.T) {
 
 // TestDecodedStreamStaysUnfused guards the one hazard of the decoded
 // stream and its overlay sharing a type: fuseProgram must rewrite a
-// clone. After eager and after profile-triggered fusion the Program's
+// clone. After fused-tier runs have built the overlay, the Program's
 // decoded stream still holds no group, and a fast-tier machine on that
 // Program still retires exactly what the oracle does.
 func TestDecodedStreamStaysUnfused(t *testing.T) {
-	for _, eager := range []bool{true, false} {
-		t.Run(fmt.Sprintf("eager=%v", eager), func(t *testing.T) {
-			loop, walk := fuseLoop(), fuseWalk()
-			loop.Encode()
-			walk.Encode()
-			prog := &Program{Funcs: []*Func{loop, walk}}
-			run := func(tier Tier, fn int) (*Machine, error) {
-				m, heap := testEnvProg(t, prog)
+	// The overlay is built on a Program's first fused-tier run, which
+	// is the eager case; there is no other way to build it.
+	t.Run("eager=true", func(t *testing.T) {
+		loop, walk := fuseLoop(), fuseWalk()
+		loop.Encode()
+		walk.Encode()
+		prog := &Program{Funcs: []*Func{loop, walk}}
+		run := func(tier Tier, fn int) (*Machine, error) {
+			m, heap := testEnvProg(t, prog)
+			m.Tier = tier
+			args := []uint64{100} // fuseLoop's n
+			if fn == 1 {
+				args = []uint64{heap + 1<<20 - 64, ^uint64(0)} // fuseWalk, into the guard page
+			}
+			err := m.Call(fn, args...)
+			return m, err
+		}
+		for fn := range prog.Funcs {
+			run(TierFused, fn)
+		}
+		if prog.FusedBlocks() == 0 {
+			t.Fatal("no fused overlay after fused-tier runs")
+		}
+		for fn, df := range prog.decoded() {
+			for pc := range df.insts {
+				if in := &df.insts[pc]; in.op == opGroup || in.steps != nil || in.gxBytes != 0 {
+					t.Fatalf("decoded stream fn %d pc %d was fused in place: %+v", fn, pc, in)
+				}
+			}
+		}
+		for fn := range prog.Funcs {
+			slow, errS := run(TierSlow, fn)
+			fast, errF := run(TierFast, fn)
+			sameRun(t, fmt.Sprintf("fn=%d fast", fn), fast, errF, slow, errS)
+		}
+	})
+}
+
+// TestFusedTrapAttribution traps inside fused groups and checks the
+// fused run equals the slow-path oracle's field for field: the trap
+// carries the constituent's original function and instruction indices,
+// and Insts/BytesFetched, which a group charges for all its
+// constituents up front, are taken back for the ones after the trap.
+// The trapping pc is asserted to be an interior constituent of an
+// overlay group, so the cases really trap mid-group; the non-final
+// ones are what exercise the take-back.
+func TestFusedTrapAttribution(t *testing.T) {
+	store := func() *Func {
+		return &Func{Name: "fault", Insts: []x86.Inst{
+			{Op: x86.MOV, W: x86.W64, Dst: x86.R(x86.RCX), Src: x86.R(x86.RDI)},                // 0
+			{Op: x86.ADD, W: x86.W64, Dst: x86.R(x86.RCX), Src: x86.Imm(8)},                    // 1
+			{Op: x86.MOV, W: x86.W64, Dst: x86.M(x86.Mem{Base: x86.RCX}), Src: x86.R(x86.RSI)}, // 2
+			{Op: x86.RET}, // 3
+		}}
+	}
+	for _, c := range []struct {
+		name  string
+		fn    func() *Func
+		args  func(heap uint64) []uint64
+		pc    int  // the trapping instruction
+		final bool // whether it is its group's last constituent
+		kind  TrapKind
+	}{
+		// heap+1MiB+8 lands in the guard page.
+		{"store-final", store, func(h uint64) []uint64 { return []uint64{h + 1<<20, 7} }, 2, true, TrapPageFault},
+		// Seven words below the end of the 1 MiB heap: the bounds check
+		// fires at the fourth, or the guard page at the eighth.
+		{"trapif", fuseWalk, func(h uint64) []uint64 { return []uint64{h + 1<<20 - 64, h + 1<<20 - 40} }, 4, false, TrapBounds},
+		{"fault", fuseWalk, func(h uint64) []uint64 { return []uint64{h + 1<<20 - 64, ^uint64(0)} }, 5, false, TrapPageFault},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			run := func(tier Tier) (*Machine, error) {
+				m, heap := testEnv(t, c.fn())
 				m.Tier = tier
-				args := []uint64{100} // fuseLoop's n
-				if fn == 1 {
-					args = []uint64{heap + 1<<20 - 64, ^uint64(0)} // fuseWalk, into the guard page
+				for i := uint64(0); i < 64; i += 8 {
+					m.AS.Store(heap+1<<20-64+i, 8, i+1)
 				}
-				err := m.Call(fn, args...)
-				return m, err
+				return m, m.Call(0, c.args(heap)...)
 			}
-			func() {
-				SetFuseEager(eager)
-				defer SetFuseEager(false)
-				defer SetFuseWarmup(50, 1)()
-				for fn := range prog.Funcs {
-					run(TierFused, fn)
-				}
-			}()
-			if prog.FuseBuilds() != 1 || prog.FusedBlocks() == 0 {
-				t.Fatalf("builds=%d blocks=%d, want a fused overlay", prog.FuseBuilds(), prog.FusedBlocks())
+			fused, errF := run(TierFused)
+			var trap *Trap
+			if !errors.As(errF, &trap) {
+				t.Fatalf("fused run returned %v, want a trap", errF)
 			}
-			for fn, df := range prog.decoded() {
-				for pc := range df.insts {
-					if in := &df.insts[pc]; in.op == opGroup || in.steps != nil || in.gxBytes != 0 {
-						t.Fatalf("decoded stream fn %d pc %d was fused in place: %+v", fn, pc, in)
+			if trap.Kind != c.kind || trap.Fn != 0 || trap.PC != c.pc {
+				t.Fatalf("%v at fn %d pc %d, want %v at fn 0 pc %d", trap.Kind, trap.Fn, trap.PC, c.kind, c.pc)
+			}
+			interior := false
+			insts := fused.Prog.fused.Load().funcs[0].insts
+			for h := range insts {
+				if n := len(insts[h].steps); insts[h].op == opGroup && h < c.pc && c.pc < h+n {
+					interior = true
+					if final := c.pc == h+n-1; final != c.final {
+						t.Fatalf("pc %d final in group %d+%d is %v, want %v", c.pc, h, n, final, c.final)
 					}
 				}
 			}
-			for fn := range prog.Funcs {
-				slow, errS := run(TierSlow, fn)
-				fast, errF := run(TierFast, fn)
-				sameRun(t, fmt.Sprintf("fn=%d fast", fn), fast, errF, slow, errS)
+			if !interior {
+				t.Fatalf("pc %d is not an interior constituent of any group", c.pc)
 			}
+			slow, errS := run(TierSlow)
+			sameRun(t, "fused", fused, errF, slow, errS)
 		})
-	}
-}
-
-// TestFusedTrapAttribution faults on the final constituent of a group
-// and checks the trap carries the constituent's original function and
-// instruction indices, identically to the slow-path oracle.
-func TestFusedTrapAttribution(t *testing.T) {
-	SetFuseEager(true)
-	defer SetFuseEager(false)
-	f := &Func{Name: "fault", Insts: []x86.Inst{
-		{Op: x86.MOV, W: x86.W64, Dst: x86.R(x86.RCX), Src: x86.R(x86.RDI)},                // 0
-		{Op: x86.ADD, W: x86.W64, Dst: x86.R(x86.RCX), Src: x86.Imm(8)},                    // 1
-		{Op: x86.MOV, W: x86.W64, Dst: x86.M(x86.Mem{Base: x86.RCX}), Src: x86.R(x86.RSI)}, // 2
-		{Op: x86.RET}, // 3
-	}}
-	run := func(tier Tier) error {
-		m, heap := testEnv(t, f)
-		m.Tier = tier
-		return m.Call(0, heap+1<<20, 7) // heap+1MiB+8 lands in the guard
-	}
-	errF := run(TierFused)
-	var trap *Trap
-	if !errors.As(errF, &trap) {
-		t.Fatalf("fused: got %v, want a trap", errF)
-	}
-	if trap.Fn != 0 || trap.PC != 2 {
-		t.Fatalf("trap at fn %d pc %d, want fn 0 pc 2", trap.Fn, trap.PC)
-	}
-	errS := run(TierSlow)
-	if errS == nil || errS.Error() != errF.Error() {
-		t.Fatalf("oracle disagrees: fused %v, slow %v", errF, errS)
 	}
 }

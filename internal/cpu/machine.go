@@ -22,10 +22,10 @@ type Tier uint8
 // recycled Machine runs fused unless its owner sets Tier.
 const (
 	// TierFused runs the decoded loop (machine_decoded.go) on the
-	// Program's decoded stream until a lightweight profile pass
-	// identifies hot code, then on the fused overlay (fuse.go): a clone
-	// of that stream with superinstruction groups, built once per
-	// Program and shared by every Machine running it.
+	// fused overlay (fuse.go): a clone of the decoded stream with
+	// superinstruction groups, built for the whole Program the first
+	// time a fused-tier Machine runs it and shared by every Machine
+	// running it.
 	TierFused Tier = iota
 	// TierFast runs the same loop on the decoded stream (decode.go)
 	// only.
@@ -133,12 +133,6 @@ type Machine struct {
 	frames []frame
 	bpred  []uint8 // 2-bit bimodal predictor
 
-	// profCounts holds per-function per-pc execution counts while a
-	// fused-tier machine is in its profiling warmup; nil otherwise.
-	// profLeft is the remaining per-Run profile budget (see profile.go).
-	profCounts [][]uint32
-	profLeft   int64
-
 	// Per-machine opcode cost table, derived from Cost on first use
 	// and rebuilt whenever Cost changes (CostModel is comparable).
 	costTab    [opCostTabSize]float64
@@ -239,11 +233,11 @@ func (m *Machine) Release() {
 }
 
 // scrub removes everything an owner could have left behind:
-// architectural state, Stats, cache and predictor contents, the profile
-// counts, the references to its address space, program and host table,
-// and the access-grant cache, whose entries point into that address
-// space's pages. The struct is rebuilt from a literal so that a field
-// added later is cleared unless listed here. What is listed is the
+// architectural state, Stats, cache and predictor contents, the
+// references to its address space, program and host table, and the
+// access-grant cache, whose entries point into that address space's
+// pages. The struct is rebuilt from a literal so that a field added
+// later is cleared unless listed here. What is listed is the
 // storage worth keeping (hierarchy, predictor table, frame stack) and
 // state that is a pure function of its key and revalidated on use: the
 // opcode cost table (keyed by CostModel) and the per-instruction cost
@@ -605,9 +599,9 @@ var (
 // Tier chooses the engine and the stream: TierSlow is the original
 // portable loop, the differential-testing oracle; TierFast runs the
 // decoded loop on the Program's decoded stream; TierFused (the zero
-// value, what NewMachine hands out) runs the same loop, profiling on the decoded stream until the fused overlay
-// is built and on the overlay afterwards. All tiers produce
-// bit-identical architectural state and Stats.
+// value, what NewMachine hands out) runs the same loop on the fused
+// overlay, which the first fused-tier Run of a Program builds. All
+// tiers produce bit-identical architectural state and Stats.
 func (m *Machine) Run() error {
 	tele := telemetry.Enabled()
 	before := m.Stats.Insts
@@ -619,12 +613,15 @@ func (m *Machine) Run() error {
 		}
 		err = m.runSlow()
 	case TierFused:
-		err = m.runTiered(tele)
+		if tele {
+			ctrDispatchFused.Inc()
+		}
+		err = m.runDecoded(m.Prog.fusedStream())
 	default:
 		if tele {
 			ctrDispatchFast.Inc()
 		}
-		err = m.runDecoded(m.Prog.decoded(), false)
+		err = m.runDecoded(m.Prog.decoded())
 	}
 	if tele {
 		ctrInstsRetired.Add(m.Stats.Insts - before)

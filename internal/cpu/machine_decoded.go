@@ -13,9 +13,10 @@ import (
 // recipe, and base costs come from a per-instruction table; instructions
 // are accessed by pointer, so the ~130-byte x86.Inst copy the slow path
 // pays per step disappears. The stream is either the Program's decoded
-// stream (every entry a singleton) or its fused overlay, in which a
-// group head dispatches once for up to maxGroup constituents whose
-// operand recipes were fully resolved at fuse time (fuse.go).
+// stream (every entry a singleton) or its fused overlay, built once per
+// Program on its first fused-tier run (fuse.go), in which a group head
+// dispatches once for up to maxGroup constituents whose operand recipes
+// were fully resolved at fuse time.
 //
 // The invariants that keep groups bit-identical to the oracle:
 //   - each constituent charges its own precomputed base cost cs[pc+i]
@@ -32,13 +33,10 @@ import (
 //     and branching into the middle of a group lands on a plain
 //     singleton copy of that instruction.
 
-// runDecoded executes the given stream of m.Prog: the decoded stream or
-// its fused overlay. With profile set (the fused tier's warmup, on the
-// decoded stream only) it counts executions per pc into m.profCounts and
-// returns errProfileBudget once m.profLeft instructions have run.
-// Semantics, trap behaviour, and Stats accounting are bit-identical to
-// runSlow.
-func (m *Machine) runDecoded(stream []decFunc, profile bool) error {
+// runDecoded executes the given stream of m.Prog: the decoded stream
+// (the fast tier) or its fused overlay (the fused tier). Semantics, trap
+// behaviour, and Stats accounting are bit-identical to runSlow.
+func (m *Machine) runDecoded(stream []decFunc) error {
 	dcost := m.instCosts(m.Prog.decoded())
 	// Insts and BytesFetched are pure accumulators — nothing reads them
 	// until the run completes — so they live in locals and flush once on
@@ -59,29 +57,12 @@ frames:
 		fr := &m.frames[len(m.frames)-1]
 		insts := stream[fr.fn].insts
 		cs := dcost[fr.fn][:len(insts)] // same length, so cs[pc] shares insts' bounds check
-		// Nil outside the profile pass, so the per-instruction cost of
-		// profiling support is one predictable branch.
-		var pcnt []uint32
-		if profile {
-			pcnt = m.profCounts[fr.fn]
-		}
 		for {
 			pc := fr.pc
 			if uint(pc) >= uint(len(insts)) {
 				return fmt.Errorf("cpu: pc %d out of range in %q", pc, m.Prog.Funcs[fr.fn].Name)
 			}
 			in := &insts[pc]
-
-			if pcnt != nil {
-				// Bail at the instruction boundary: nothing executed or
-				// charged yet and fr.pc == pc, so runTiered can resume
-				// this exact instruction on the fused overlay.
-				if m.profLeft <= 0 {
-					return errProfileBudget
-				}
-				m.profLeft--
-				pcnt[pc]++
-			}
 
 			nInsts++
 			nBytes += uint64(in.ilen)

@@ -8,12 +8,9 @@ import (
 
 // diffRun executes the same call on one machine per tier, built from
 // identical environments, and asserts the architectural state and Stats
-// are bit-identical across all of them. The fused tier runs eagerly so
-// these short programs execute on the fused stream, not the warmup path.
+// are bit-identical across all of them.
 func diffRun(t *testing.T, funcs []*Func, fnIdx int, args ...uint64) {
 	t.Helper()
-	SetFuseEager(true)
-	defer SetFuseEager(false)
 	run := func(tier Tier) (*Machine, error) {
 		m, heap := testEnv(t, funcs...)
 		m.Tier = tier

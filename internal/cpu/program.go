@@ -71,26 +71,20 @@ type Program struct {
 	decOnce sync.Once
 	dec     []decFunc
 
-	// Fused tier state (fuse.go/profile.go). The fused overlay of dec is
-	// built at most once per Program — from merged per-machine profiles or
-	// eagerly — and published through fusedP, so a module fused once
-	// serves every subsequent Machine (the module cache in internal/rt
-	// shares Programs across instances for exactly this amortization).
-	fuseMu     sync.Mutex
-	profAgg    [][]uint32 // merged per-pc execution counts (under fuseMu)
-	profTotal  uint64     // total profiled instructions (under fuseMu)
-	fusedP     atomic.Pointer[fusedProg]
-	fuseBuilds atomic.Uint32
+	// The fused overlay of dec (fuse.go), built for the whole program
+	// once, the first time a fused-tier Machine runs it, and shared like
+	// dec: a module fused once serves every later Machine (the module
+	// cache in internal/rt shares Programs across instances for exactly
+	// this amortization). The pointer is atomic so that FusedBlocks can
+	// read it without building it.
+	fuseOnce sync.Once
+	fused    atomic.Pointer[fusedProg]
 }
 
-// FuseBuilds returns how many times the fused stream was compiled for
-// this Program — at most 1 by construction; tests assert on it.
-func (p *Program) FuseBuilds() uint32 { return p.fuseBuilds.Load() }
-
 // FusedBlocks returns the number of superinstruction groups in the
-// fused stream, or 0 if fusion has not run yet.
+// fused overlay, or 0 if no fused-tier Machine has run the Program yet.
 func (p *Program) FusedBlocks() int {
-	if fp := p.fusedP.Load(); fp != nil {
+	if fp := p.fused.Load(); fp != nil {
 		return fp.blocks
 	}
 	return 0

@@ -74,8 +74,6 @@ func recycleKernels(t *testing.T) []workloads.Kernel {
 // recycled machine (its previous owner: another kernel, same mode and
 // tier) and twice on a never-pooled one; registers, xmm, flags, every
 // Stats field and the dTLB/L1D/L2 counters must match after each run.
-// The fused tier runs both in its profile warmup (the machine carries
-// per-pc counts for A's program into the release) and eagerly fused.
 func TestRecycledMachineEqualsFresh(t *testing.T) {
 	kernels := recycleKernels(t)
 	modes := []struct {
@@ -83,11 +81,9 @@ func TestRecycledMachineEqualsFresh(t *testing.T) {
 		mode sfi.Mode
 	}{{"native", sfi.ModeNative}, {"guard", sfi.ModeGuard}, {"segue", sfi.ModeSegue}}
 	tiers := []struct {
-		name  string
-		tier  cpu.Tier
-		eager bool
-	}{{"slow", cpu.TierSlow, false}, {"fast", cpu.TierFast, false},
-		{"fused-warmup", cpu.TierFused, false}, {"fused", cpu.TierFused, true}}
+		name string
+		tier cpu.Tier
+	}{{"slow", cpu.TierSlow}, {"fast", cpu.TierFast}, {"fused", cpu.TierFused}}
 
 	for _, md := range modes {
 		mods := make([]*rt.Module, len(kernels))
@@ -116,7 +112,6 @@ func TestRecycledMachineEqualsFresh(t *testing.T) {
 			return snapshot(inst.Mach, out[0])
 		}
 		for _, tr := range tiers {
-			cpu.SetFuseEager(tr.eager)
 			for b := range kernels {
 				a := (b + 1) % len(kernels)
 				name := fmt.Sprintf("%s after %s, %s/%s", kernels[b].Name, kernels[a].Name, md.name, tr.name)
@@ -140,7 +135,6 @@ func TestRecycledMachineEqualsFresh(t *testing.T) {
 				}
 			}
 		}
-		cpu.SetFuseEager(false)
 	}
 }
 

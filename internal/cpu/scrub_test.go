@@ -33,7 +33,7 @@ func TestScrubLeavesBlankMachine(t *testing.T) {
 		{Op: x86.RET},
 	}}
 	m, heap := testEnv(t, loop)
-	m.Tier = TierFused // profile warmup: per-pc counts on the machine
+	m.Tier = TierFused
 	m.Regs[x86.RDX] = heap
 	if err := m.Call(0, 9); err != nil {
 		t.Fatal(err)
@@ -44,7 +44,6 @@ func TestScrubLeavesBlankMachine(t *testing.T) {
 	m.EpochEnabled, m.EpochDeadline = true, 1e9
 	m.Hosts = []HostFunc{func(*Machine) error { return nil }}
 	m.frames = append(m.frames, frame{fn: 1, pc: 2})
-	m.profLeft = 7
 	m.Tier = TierSlow // scrub hands the next owner the zero value, fused
 
 	v := reflect.ValueOf(m).Elem()

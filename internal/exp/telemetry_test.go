@@ -81,7 +81,7 @@ func TestTelemetryDisabledLeavesNoTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := telemetry.Default.Snapshot()
-	for _, name := range []string{"exp.cells", "cpu.dispatch.fast", "cpu.insts_retired"} {
+	for _, name := range []string{"exp.cells", "cpu.dispatch.fast", "cpu.dispatch.fused", "cpu.insts_retired"} {
 		if snap.Counters[name] != 0 {
 			t.Errorf("%s = %d after a disabled run, want 0", name, snap.Counters[name])
 		}

@@ -148,7 +148,6 @@ func TestInvokeAllocatesOnlyResult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst.Mach.Tier = cpu.TierFast // no profile pass: the steady state of any tier
 	args := []uint64{40, 1, 2}
 	if out, err := inst.Invoke("sum3", args...); err != nil || out[0] != 42 {
 		t.Fatalf("sum3 = %v, %v", out, err)

@@ -7,6 +7,7 @@ import (
 	"repro/internal/cpu"
 	"repro/internal/ir"
 	"repro/internal/sfi"
+	"repro/internal/telemetry"
 )
 
 // TestCompileModuleCached checks hit/miss behaviour, key separation,
@@ -116,12 +117,9 @@ func TestCompileModuleCachedConcurrent(t *testing.T) {
 // TestFastSlowDifferentialRT runs generated programs through full
 // compile+instantiate under several modes, executing each once per
 // tier — the slow-path oracle, the predecoded fast path, and the fused
-// superinstruction tier (eager, so short programs hit the fused
-// stream) — and asserts checksums, Stats, and linear memory are
-// bit-identical.
+// superinstruction tier — and asserts checksums, Stats, and linear
+// memory are bit-identical.
 func TestFastSlowDifferentialRT(t *testing.T) {
-	cpu.SetFuseEager(true)
-	defer cpu.SetFuseEager(false)
 	seeds := 40
 	if testing.Short() {
 		seeds = 10
@@ -175,22 +173,45 @@ func TestFastSlowDifferentialRT(t *testing.T) {
 }
 
 // TestFusedBuildOnceAcrossInstances spins up many instances of one
-// shared module concurrently, all on the fused tier, and checks the
-// superinstruction stream was compiled exactly once for the Program —
-// the cross-instance amortization the module cache exists for.
+// cached module concurrently, all on the fused tier — the
+// cross-instance amortization the module cache exists for.
 func TestFusedBuildOnceAcrossInstances(t *testing.T) {
 	ResetModuleCache()
 	defer ResetModuleCache()
-	cpu.SetFuseEager(true)
-	defer cpu.SetFuseEager(false)
-
 	key := ModuleKey{Name: "fuzz13", Cfg: sfi.DefaultConfig(sfi.ModeSegue)}
 	mod, err := CompileModuleCached(key, func() *ir.Module { return genModule(13) })
 	if err != nil {
 		t.Fatal(err)
 	}
+	fuseConcurrently(t, mod, 13)
+}
+
+// TestFusedProfileBuildOnceConcurrent runs the same race on a module
+// compiled outside the cache, so nothing but the Program itself is
+// shared between the instances.
+func TestFusedProfileBuildOnceConcurrent(t *testing.T) {
+	mod, err := CompileModule(genModule(17), sfi.DefaultConfig(sfi.ModeSegue))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fuseConcurrently(t, mod, 17)
+}
+
+// fuseConcurrently runs several fused-tier instances of mod at once,
+// each invoking it several times. Their first runs race to build the
+// superinstruction overlay; it must be built exactly once for the
+// Program (cpu.fuse.blocks advances by one overlay's groups),
+// race-free under -race, and shared by every instance.
+func fuseConcurrently(t *testing.T, mod *Module, seed uint64) {
+	t.Helper()
+	defer telemetry.SetEnabled(telemetry.Enabled())
+	telemetry.SetEnabled(true)
+	blocks := telemetry.Default.Counter("cpu.fuse.blocks")
+	blocks0 := blocks.Load()
+
 	const workers = 8
-	results := make([]uint64, workers)
+	results := make([][4]uint64, workers)
+	progs := make([]*cpu.Program, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -202,58 +223,34 @@ func TestFusedBuildOnceAcrossInstances(t *testing.T) {
 				return
 			}
 			inst.Mach.Tier = cpu.TierFused
-			res, err := inst.Invoke("run", 13)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			results[w] = res[0]
-		}(w)
-	}
-	wg.Wait()
-	if n := mod.Prog.FuseBuilds(); n != 1 {
-		t.Fatalf("fused stream built %d times, want 1", n)
-	}
-	for w := 1; w < workers; w++ {
-		if results[w] != results[0] {
-			t.Fatal("workers disagree on checksum")
-		}
-	}
-}
-
-// TestFusedProfileBuildOnceConcurrent exercises the profile-guided
-// path under contention: many fused-tier machines run concurrently
-// with a tiny warmup budget, their profiles merge into the shared
-// Program, and the build must still happen exactly once.
-func TestFusedProfileBuildOnceConcurrent(t *testing.T) {
-	defer cpu.SetFuseWarmup(500, 1)()
-
-	mod, err := CompileModule(genModule(17), sfi.DefaultConfig(sfi.ModeSegue))
-	if err != nil {
-		t.Fatal(err)
-	}
-	const workers = 8
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			inst, err := NewInstance(mod, InstanceOptions{FSGSBASE: true})
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			inst.Mach.Tier = cpu.TierFused
-			for i := 0; i < 4; i++ {
-				if _, err := inst.Invoke("run", uint64(17+i)); err != nil {
+			progs[w] = inst.Mach.Prog
+			for i := range results[w] {
+				res, err := inst.Invoke("run", seed+uint64(i))
+				if err != nil {
 					t.Error(err)
 					return
 				}
+				results[w][i] = res[0]
 			}
-		}()
+		}(w)
 	}
 	wg.Wait()
-	if n := mod.Prog.FuseBuilds(); n > 1 {
-		t.Fatalf("fused stream built %d times, want at most 1", n)
+	if t.Failed() {
+		return
+	}
+	n := mod.Prog.FusedBlocks()
+	if n == 0 {
+		t.Fatal("no fused overlay after fused-tier runs")
+	}
+	if got := blocks.Load() - blocks0; got != uint64(n) {
+		t.Fatalf("cpu.fuse.blocks advanced by %d, want one build of %d groups", got, n)
+	}
+	for w := range workers {
+		if progs[w] != mod.Prog {
+			t.Fatalf("worker %d ran a Program other than the module's", w)
+		}
+		if results[w] != results[0] {
+			t.Fatal("workers disagree on checksums")
+		}
 	}
 }

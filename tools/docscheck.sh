@@ -8,8 +8,9 @@
 # 4. The documented commands run, in cheap smoke configurations —
 #    including the fault-injection flags — and so does every program
 #    under examples/.
-# 5. Deleted names stay out of the docs: the legacy perf record, and
-#    the slot allocators the isolation slab's table replaced.
+# 5. Deleted names stay out of the docs: the legacy perf record, the
+#    slot allocators the isolation slab's table replaced, and the fused
+#    tier's profile pass and fusion switches.
 #
 # Run via `make docscheck`; `make ci` (and so CI) includes it.
 set -eu
@@ -130,6 +131,12 @@ fi
 if grep -rnE 'pool\.(Pool|Slot)\b|pool\.New\(|mte\.Allocator|NewAllocator' \
     README.md EXPERIMENTS.md DESIGN.md ARCHITECTURE.md docs/ .claude/ >&2; then
     err "docs mention a deleted slot allocator (lines above)"
+fi
+# The fused tier fuses the whole program on first use; its profile pass
+# and the process-wide switches that bypassed it stay gone from the docs.
+if grep -rnE 'SetFuseEager|SetFuseWarmup|fuseWarmupInsts|FuseDebugDump|profile\.go|profile pass' \
+    README.md EXPERIMENTS.md DESIGN.md ARCHITECTURE.md docs/ .claude/ >&2; then
+    err "docs mention the deleted fused-tier profile pass (lines above)"
 fi
 
 if [ "$fail" -ne 0 ]; then
