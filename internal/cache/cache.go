@@ -119,9 +119,6 @@ func (t *TLB) Hits() uint64 { return t.hits }
 // Misses returns the miss count.
 func (t *TLB) Misses() uint64 { return t.misses }
 
-// Flushes returns the flush count.
-func (t *TLB) Flushes() uint64 { return t.flushes }
-
 // PublishTo adds the TLB's counters into registry counters named
 // <prefix>.hits/.misses/.flushes. Call once per TLB at a run boundary
 // (repeated calls double-count).

@@ -44,8 +44,8 @@ func TestTLBFlush(t *testing.T) {
 	if tlb.Access(0x5000) {
 		t.Error("access after flush should miss")
 	}
-	if tlb.Flushes() != 1 {
-		t.Errorf("Flushes = %d", tlb.Flushes())
+	if tlb.flushes != 1 {
+		t.Errorf("flushes = %d", tlb.flushes)
 	}
 }
 

@@ -116,10 +116,6 @@ func NewPolicy(cfg PolicyConfig) *Policy {
 	return &Policy{cfg: cfg.withDefaults(), workers: make(map[string]*policyState)}
 }
 
-// Forget drops a worker's history (call when a worker is removed, or
-// restarted with fresh counters).
-func (p *Policy) Forget(worker string) { delete(p.workers, worker) }
-
 // Tick ingests one worker's sample and returns the decisions it
 // implies. The first sample for a worker only seeds the deltas.
 func (p *Policy) Tick(worker string, s Sample) []Decision {

@@ -50,10 +50,10 @@ type ringPoint struct {
 }
 
 // Ring is a consistent-hash ring with virtual nodes. Keys map to the
-// first point clockwise from their hash; adding or removing a member
-// moves only the keys whose arc that member's points cover (about
-// 1/(n+1) of them), which is what keeps worker-local keep-warm pools
-// valid across topology changes.
+// first point clockwise from their hash; adding a member moves only the
+// keys whose arc that member's points cover (about 1/(n+1) of them),
+// which is what keeps worker-local keep-warm pools valid across
+// topology changes.
 type Ring struct {
 	mu      sync.RWMutex
 	vnodes  int
@@ -86,35 +86,6 @@ func (r *Ring) Add(member string) {
 		})
 	}
 	sort.Slice(r.points, func(i, j int) bool { return r.points[i].hash < r.points[j].hash })
-}
-
-// Remove deletes a member's virtual nodes.
-func (r *Ring) Remove(member string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.members[member]; !ok {
-		return
-	}
-	delete(r.members, member)
-	kept := r.points[:0]
-	for _, p := range r.points {
-		if p.member != member {
-			kept = append(kept, p)
-		}
-	}
-	r.points = kept
-}
-
-// Members returns the current member set, sorted.
-func (r *Ring) Members() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.members))
-	for m := range r.members {
-		out = append(out, m)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Size returns the member count.

@@ -44,7 +44,7 @@ func TestRingBalance(t *testing.T) {
 
 // TestRingMinimalMovement: adding a member moves keys only TO the new
 // member (never between existing ones), and only about 1/(n+1) of
-// them; removing it restores the original assignment exactly.
+// them.
 func TestRingMinimalMovement(t *testing.T) {
 	r := NewRing(0)
 	for _, m := range []string{"a", "b", "c"} {
@@ -70,13 +70,6 @@ func TestRingMinimalMovement(t *testing.T) {
 	frac := float64(moved) / keys
 	if frac < 0.10 || frac > 0.45 {
 		t.Errorf("join moved %.1f%% of keys; want roughly 1/4 (10%%..45%%)", 100*frac)
-	}
-
-	r.Remove("d")
-	for i := range before {
-		if after := r.Lookup(fmt.Sprintf("key-%d", i), 1)[0]; after != before[i] {
-			t.Fatalf("key-%d did not return to %s after leave (got %s)", i, before[i], after)
-		}
 	}
 }
 

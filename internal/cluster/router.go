@@ -140,16 +140,6 @@ func (rt *Router) AddWorker(name, baseURL string) {
 	rt.met.workersUp.Set(int64(rt.countHealthy()))
 }
 
-// RemoveWorker unregisters a worker entirely (it also leaves the ring,
-// so its keys move to the survivors).
-func (rt *Router) RemoveWorker(name string) {
-	rt.ring.Remove(name)
-	rt.mu.Lock()
-	delete(rt.workers, name)
-	rt.mu.Unlock()
-	rt.met.workersUp.Set(int64(rt.countHealthy()))
-}
-
 // SetHealthy flips a worker's health bit without moving ring keys: an
 // unhealthy worker is skipped by routing but keeps its arc, so a brief
 // restart does not reshuffle every pool in the cluster.

@@ -204,18 +204,6 @@ func (s *Supervisor) watch(name string, cmd *exec.Cmd, generation int) {
 	_ = s.launch(name, generation+1)
 }
 
-// Kill force-kills one worker by name (the smoke test's failure
-// injection); the watcher restarts it.
-func (s *Supervisor) Kill(name string) error {
-	s.mu.Lock()
-	p, ok := s.procs[name]
-	s.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("no running worker %q", name)
-	}
-	return p.cmd.Process.Kill()
-}
-
 // Stop terminates all workers (SIGTERM, which faasd drains on) and
 // waits for the watchers to finish.
 func (s *Supervisor) Stop() {

@@ -119,7 +119,13 @@ func TestSupervisorRestart(t *testing.T) {
 	if err := s.Start(); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Kill("worker-0"); err != nil {
+	s.mu.Lock()
+	p := s.procs["worker-0"]
+	s.mu.Unlock()
+	if p == nil {
+		t.Fatal("worker-0 is not running")
+	}
+	if err := p.cmd.Process.Kill(); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(15 * time.Second)

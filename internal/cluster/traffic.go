@@ -195,6 +195,3 @@ func (m *Mix) Pick(rng *stats.RNG) string {
 	}
 	return m.names[i]
 }
-
-// Names returns the mix's kernel names, sorted.
-func (m *Mix) Names() []string { return append([]string(nil), m.names...) }

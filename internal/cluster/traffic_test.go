@@ -123,7 +123,7 @@ func TestMix(t *testing.T) {
 		t.Errorf("light kernels never picked: %v", counts)
 	}
 
-	if m2, err := ParseMix("a,b"); err != nil || len(m2.Names()) != 2 {
+	if m2, err := ParseMix("a,b"); err != nil || len(m2.names) != 2 {
 		t.Errorf("bare mix parse: %v %v", m2, err)
 	}
 	for _, bad := range []string{"", "a:-1", "a:x"} {

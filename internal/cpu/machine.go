@@ -293,9 +293,6 @@ func (m *Machine) instCosts(dec []decFunc) [][]float64 {
 	return out
 }
 
-// Running reports whether a call is in progress (after an epoch trap).
-func (m *Machine) Running() bool { return len(m.frames) > 0 }
-
 // Call begins execution of the given function with integer arguments in
 // the internal ABI and runs it to completion (or trap). The machine's
 // RSP must point at a mapped stack. Use Start+Run for resumable
@@ -323,9 +320,6 @@ func (m *Machine) Start(fnIdx int, args ...uint64) {
 
 // Result returns the integer return value (RAX).
 func (m *Machine) Result() uint64 { return m.Regs[x86.RAX] }
-
-// ResultF returns the float return value (xmm0).
-func (m *Machine) ResultF() float64 { return math.Float64frombits(m.XmmLo[0]) }
 
 // trap builds a Trap at the current position.
 func (m *Machine) trap(kind TrapKind, addr uint64) *Trap {

@@ -90,16 +90,6 @@ func (p *Program) FusedBlocks() int {
 	return 0
 }
 
-// FuncByName returns the index of the named function, or -1.
-func (p *Program) FuncByName(name string) int {
-	for i, f := range p.Funcs {
-		if f.Name == name {
-			return i
-		}
-	}
-	return -1
-}
-
 // CodeBytes returns the total encoded size of all functions — the
 // "compiled binary size" metric of Table 2.
 func (p *Program) CodeBytes() int {
@@ -156,6 +146,3 @@ func (t *Trap) Error() string {
 	}
 	return fmt.Sprintf("cpu: %s (fn %d pc %d)", name, t.Fn, t.PC)
 }
-
-// Resumable reports whether Run may be called again after this trap.
-func (t *Trap) Resumable() bool { return t.Kind == TrapEpoch }

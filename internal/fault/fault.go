@@ -81,21 +81,6 @@ type Rates struct {
 	Poisoned        float64
 }
 
-// Rate returns the probability configured for a class.
-func (r Rates) Rate(c Class) float64 {
-	switch c {
-	case ColdStartFail:
-		return r.ColdStartFail
-	case SlotExhausted:
-		return r.SlotExhausted
-	case TransitionFault:
-		return r.TransitionFault
-	case Poisoned:
-		return r.Poisoned
-	}
-	return 0
-}
-
 // RatesFor scales a base per-request fault rate into each backend's
 // characteristic mix. The weights model where each mechanism is
 // fragile: multi-process cold starts involve fork/exec and fresh page

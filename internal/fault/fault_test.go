@@ -186,16 +186,12 @@ func TestRatesFor(t *testing.T) {
 	}
 	for _, backend := range []string{"guardpage", "colorguard", "mte", "multiproc", "never-heard-of-it"} {
 		r := RatesFor(backend, 0.01)
-		for c := Class(0); c < NumClasses; c++ {
-			if r.Rate(c) <= 0 {
-				t.Errorf("%s: class %v has no rate", backend, c)
-			}
+		if r.ColdStartFail <= 0 || r.SlotExhausted <= 0 || r.TransitionFault <= 0 || r.Poisoned <= 0 {
+			t.Errorf("%s: a class has no rate: %+v", backend, r)
 		}
-		double := RatesFor(backend, 0.02)
-		for c := Class(0); c < NumClasses; c++ {
-			if double.Rate(c) != 2*r.Rate(c) {
-				t.Errorf("%s: class %v does not scale linearly with base", backend, c)
-			}
+		want := Rates{2 * r.ColdStartFail, 2 * r.SlotExhausted, 2 * r.TransitionFault, 2 * r.Poisoned}
+		if double := RatesFor(backend, 0.02); double != want {
+			t.Errorf("%s: rates %+v at twice the base, want %+v (linear)", backend, double, want)
 		}
 	}
 	if mp := RatesFor("multiproc", 0.01); mp.ColdStartFail <= RatesFor("colorguard", 0.01).ColdStartFail {

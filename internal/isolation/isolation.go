@@ -1,9 +1,9 @@
 // Package isolation is the unified isolation-backend layer: one slot
 // lifecycle (Reserve → Allocate → Recycle → Release) shared by every
 // mechanism the paper compares — guard-page SFI, ColorGuard's MPK page
-// striping (§3.2, §5.1), ColorGuard-MTE granule tagging (§7), and
-// classic N-process scaling (§6.4.3) — plus the transition- and
-// lifecycle-cost models those mechanisms differ on.
+// striping (§3.2, §5.1), ColorGuard-MTE (§7), and classic N-process
+// scaling (§6.4.3) — plus the transition- and lifecycle-cost models
+// those mechanisms differ on.
 //
 // The point of the abstraction is that the paper's central comparison
 // is exactly an axis of this package: every backend places instances
@@ -22,7 +22,6 @@ import (
 	"fmt"
 
 	"repro/internal/mem"
-	"repro/internal/mte"
 	"repro/internal/pool"
 )
 
@@ -40,7 +39,9 @@ const (
 	ColorGuard Kind = "colorguard"
 
 	// MTE colors 16-byte granules with ARM memory-tagging tags instead
-	// of coloring pages with PTE keys (§7).
+	// of coloring pages with PTE keys (§7). Its slots are laid out as
+	// guard pages' are; it differs only in what coloring costs
+	// (LifecycleFor).
 	MTE Kind = "mte"
 
 	// MultiProc is the strategy ColorGuard replaces: one OS process per
@@ -86,14 +87,12 @@ type Config struct {
 }
 
 // Slot is one allocated isolation domain: where the instance's linear
-// memory lives and how the backend marks it. Exactly one of Pkey/Tag is
-// meaningful per backend; Proc identifies the owning OS process under
-// MultiProc.
+// memory lives and how the backend marks it. Pkey is meaningful under
+// ColorGuard; Proc identifies the owning OS process under MultiProc.
 type Slot struct {
 	Index    int
 	Addr     uint64
 	Pkey     uint8 // MPK color (ColorGuard)
-	Tag      uint8 // MTE granule tag (MTE)
 	Proc     int   // owning process (MultiProc)
 	MaxBytes uint64
 }
@@ -177,18 +176,41 @@ const (
 	// CacheRefillNs models the post-switch L1/L2 warmup (a 48 KiB L1
 	// alone is ~750 lines), the "resource contention" of Figure 7.
 	CacheRefillNs = 3200.0
+
+	// The §7 lifecycle measurements for a 64 KiB linear memory on real
+	// MTE hardware (a Pixel 8 Pro), as LifecycleFor prices them.
+	InitBaseNs     = 79_000.0 // mmap + zeroing, no MTE
+	TeardownBaseNs = 29_000.0 // madvise(MADV_DONTNEED), no MTE
+	// TagNsPerByte: tagging took 2,182 µs in total, less the base.
+	TagNsPerByte = (2_182_000.0 - InitBaseNs) / 65536
+	// TagClearNsPerByte: teardown that discards tags took 377 µs in
+	// total, less the base.
+	TagClearNsPerByte = (377_000.0 - TeardownBaseNs) / 65536
 )
 
 // LifecycleFor returns the lifecycle cost model of a backend kind. The
 // base terms are the §7 measurements for mmap+zero and madvise; only
-// MTE adds coloring terms, and only without the tag-preserving madvise
-// does recycling discard the colors.
+// MTE adds coloring terms, from the paper's two observations on MTE
+// hardware:
+//
+//	Observation 1 — user-level tagging moves at most two 16-byte
+//	granules per instruction, so coloring is paid per byte:
+//	initializing a 64 KiB memory goes from 79 µs to 2,182 µs
+//	(TagNsPerByte).
+//
+//	Observation 2 — madvise(MADV_DONTNEED) discards tags, so recycling
+//	a slot, free of coloring work under MPK whose colors live in PTEs,
+//	costs extra on teardown (29 µs → 377 µs, TagClearNsPerByte) and
+//	forces a full re-tag on the next allocation (RecolorOnReuse).
+//
+// With §7's proposed tag-preserving madvise (preserveTags) recycling
+// keeps the tags, and MTE recycles as cheaply as MPK.
 func LifecycleFor(kind Kind, preserveTags bool) LifecycleCost {
-	lc := LifecycleCost{InitBaseNs: mte.InitBaseNs, TeardownBaseNs: mte.TeardownBaseNs}
+	lc := LifecycleCost{InitBaseNs: InitBaseNs, TeardownBaseNs: TeardownBaseNs}
 	if kind == MTE {
-		lc.ColorNsPerByte = mte.TagNsPerByte
+		lc.ColorNsPerByte = TagNsPerByte
 		if !preserveTags {
-			lc.DecolorNsPerByte = mte.TagClearNsPerByte
+			lc.DecolorNsPerByte = TagClearNsPerByte
 			lc.RecolorOnReuse = true
 		}
 	}
@@ -250,13 +272,11 @@ type Backend interface {
 // New returns an empty backend of the given kind.
 func New(kind Kind) (Backend, error) {
 	switch kind {
-	case GuardPage, ColorGuard, MultiProc:
+	case GuardPage, ColorGuard, MTE, MultiProc:
 		// These differ only in what the slab computes from a slot's
-		// index: the pool geometry (poolConfig) with its stripe keys,
-		// and the owning process.
+		// index (the pool geometry of poolConfig with its stripe keys,
+		// and the owning process) and in their LifecycleFor prices.
 		return &slab{kind: kind}, nil
-	case MTE:
-		return newMTE(), nil
 	}
 	return nil, fmt.Errorf("isolation: unknown backend kind %q", kind)
 }
@@ -307,7 +327,7 @@ type Placement struct {
 	// coloring to it.
 	AS *mem.AS
 
-	// Slot carries the domain marking (color, tag, process).
+	// Slot carries the domain marking (color, process).
 	Slot Slot
 
 	// Backend, when non-nil, owns the slot: closing the instance

@@ -7,8 +7,8 @@ import (
 	"testing"
 
 	"repro/internal/mem"
-	"repro/internal/mte"
 	"repro/internal/pool"
+	"repro/internal/telemetry"
 )
 
 const testMemBytes = uint64(64 << 10)
@@ -283,36 +283,38 @@ func TestColorGuardColorsPersist(t *testing.T) {
 	}
 }
 
+// mteColoring reads what a coloring leaves behind on an MTE slab:
+// whether slot i holds its color, the isolation.mte.colors count since
+// base, and the lifecycle time charged so far.
+func mteColoring(b Backend, i int, base uint64) (colored bool, colors uint64, initNs, teardownNs float64) {
+	initNs, teardownNs = b.LifecycleNs()
+	colored = b.(*slab).state[i]&slotColored != 0
+	colors = telemetry.Default.Counter("isolation.mte.colors").Load() - base
+	return colored, colors, initNs, teardownNs
+}
+
 // TestMTERetagsAfterMadvise: without the tag-preserving madvise,
-// recycling discards granule tags, and the next allocation of the slot
-// pays the full re-tagging cost.
+// recycling discards the slot's color and pays the tag-clearing term,
+// and the next allocation of the slot colors it again and pays the full
+// tagging cost.
 func TestMTERetagsAfterMadvise(t *testing.T) {
 	b := reserved(t, MTE, smallConfig())
-	mb := b.(*mteBackend)
+	base := telemetry.Default.Counter("isolation.mte.colors").Load()
+	life := LifecycleFor(MTE, false)
+	firstInit := life.InitNs(testMemBytes, true)
 	s, err := b.Allocate(testMemBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Tag == 0 || s.Tag != TagForSlot(s.Index) {
-		t.Fatalf("slot tag = %d, want %d", s.Tag, TagForSlot(s.Index))
-	}
-	if got := mb.Tags().Get(s.Addr); got != s.Tag {
-		t.Fatalf("granule tag = %d, want %d", got, s.Tag)
-	}
-	life := LifecycleFor(MTE, false)
-	firstInit := life.InitNs(testMemBytes, true)
-	if initNs, _ := b.LifecycleNs(); initNs != firstInit {
-		t.Fatalf("first init = %v, want %v (base + tagging)", initNs, firstInit)
+	if colored, colors, initNs, _ := mteColoring(b, s.Index, base); !colored || colors != 1 || initNs != firstInit {
+		t.Fatalf("first use: colored=%v colors=%d init=%v, want true/1/%v (base + tagging)", colored, colors, initNs, firstInit)
 	}
 	if err := b.Recycle(s); err != nil {
 		t.Fatal(err)
 	}
 	// madvise dropped the tags with the pages.
-	if got := mb.Tags().Get(s.Addr); got != 0 {
-		t.Fatalf("after recycle, granule tag = %d, want 0 (madvise discards tags)", got)
-	}
-	if _, teardown := b.LifecycleNs(); teardown != life.TeardownNs(testMemBytes) {
-		t.Fatalf("teardown = %v, want %v (includes tag-clearing term)", teardown, life.TeardownNs(testMemBytes))
+	if colored, _, _, teardown := mteColoring(b, s.Index, base); colored || teardown != life.TeardownNs(testMemBytes) {
+		t.Fatalf("after recycle: colored=%v teardown=%v, want false/%v (includes tag-clearing term)", colored, teardown, life.TeardownNs(testMemBytes))
 	}
 	// Reuse re-tags and pays for it again.
 	s2, err := b.Allocate(testMemBytes)
@@ -322,11 +324,8 @@ func TestMTERetagsAfterMadvise(t *testing.T) {
 	if s2.Index != s.Index {
 		t.Fatalf("reused slot = %d, want %d (LIFO)", s2.Index, s.Index)
 	}
-	if got := mb.Tags().Get(s2.Addr); got != s2.Tag {
-		t.Fatalf("after reuse, granule tag = %d, want %d (re-tagged)", got, s2.Tag)
-	}
-	if initNs, _ := b.LifecycleNs(); initNs != 2*firstInit {
-		t.Fatalf("init after reuse = %v, want %v (full re-tag charged)", initNs, 2*firstInit)
+	if colored, colors, initNs, _ := mteColoring(b, s.Index, base); !colored || colors != 2 || initNs != 2*firstInit {
+		t.Fatalf("after reuse: colored=%v colors=%d init=%v, want true/2/%v (full re-tag charged)", colored, colors, initNs, 2*firstInit)
 	}
 }
 
@@ -336,7 +335,7 @@ func TestMTEPreservingMadviseSkipsRetag(t *testing.T) {
 	cfg := smallConfig()
 	cfg.PreserveTagsOnMadvise = true
 	b := reserved(t, MTE, cfg)
-	mb := b.(*mteBackend)
+	base := telemetry.Default.Counter("isolation.mte.colors").Load()
 	life := LifecycleFor(MTE, true)
 	if life.RecolorOnReuse || life.DecolorNsPerByte != 0 {
 		t.Fatalf("preserving lifecycle = %+v, want no decolor/recolor terms", life)
@@ -348,23 +347,15 @@ func TestMTEPreservingMadviseSkipsRetag(t *testing.T) {
 	if err := b.Recycle(s); err != nil {
 		t.Fatal(err)
 	}
-	if got := mb.Tags().Get(s.Addr); got != s.Tag {
-		t.Fatalf("after preserving recycle, granule tag = %d, want %d", got, s.Tag)
+	if colored, _, _, teardown := mteColoring(b, s.Index, base); !colored || teardown != life.TeardownNs(testMemBytes) {
+		t.Fatalf("after preserving recycle: colored=%v teardown=%v, want true/base-only %v", colored, teardown, life.TeardownNs(testMemBytes))
 	}
-	s2, err := b.Allocate(testMemBytes)
-	if err != nil {
+	if _, err := b.Allocate(testMemBytes); err != nil {
 		t.Fatal(err)
 	}
-	initNs, teardownNs := b.LifecycleNs()
 	wantInit := life.InitNs(testMemBytes, true) + life.InitNs(testMemBytes, false)
-	if initNs != wantInit {
-		t.Fatalf("init = %v, want %v (reuse skips tagging)", initNs, wantInit)
-	}
-	if teardownNs != life.TeardownNs(testMemBytes) {
-		t.Fatalf("teardown = %v, want base-only %v", teardownNs, life.TeardownNs(testMemBytes))
-	}
-	if got := mb.Tags().Get(s2.Addr); got != s2.Tag {
-		t.Fatalf("reused slot tag = %d, want %d", got, s2.Tag)
+	if colored, colors, initNs, _ := mteColoring(b, s.Index, base); !colored || colors != 1 || initNs != wantInit {
+		t.Fatalf("after reuse: colored=%v colors=%d init=%v, want true/1/%v (reuse skips tagging)", colored, colors, initNs, wantInit)
 	}
 }
 
@@ -456,8 +447,8 @@ func TestLifecycleCostModel(t *testing.T) {
 			t.Fatalf("%s preserve=%v: %v/%v µs, want %v/%v", c.kind, c.preserve, init, down, c.initUs, c.downUs)
 		}
 	}
-	if got := LifecycleFor(MTE, false).ColorNsPerByte; got != mte.TagNsPerByte {
-		t.Fatalf("ColorNsPerByte = %v, want %v", got, mte.TagNsPerByte)
+	if got := LifecycleFor(MTE, false).ColorNsPerByte; got != TagNsPerByte {
+		t.Fatalf("ColorNsPerByte = %v, want %v", got, TagNsPerByte)
 	}
 }
 

@@ -7,11 +7,13 @@ import (
 
 	"repro/internal/mem"
 	"repro/internal/stats"
+	"repro/internal/telemetry"
 )
 
 // slabModel is the naive reference a backend's slot lifecycle must
-// match: a LIFO free list, an in-use set, per-slot MTE tag state, and
-// the init/teardown time LifecycleFor prices for every step.
+// match: a LIFO free list, an in-use set, per-slot color state, the
+// colorings the .colors counter must count, and the init/teardown time
+// LifecycleFor prices for every step.
 type slabModel struct {
 	kind    Kind
 	life    LifecycleCost
@@ -23,25 +25,32 @@ type slabModel struct {
 	freed []Slot         // every slot descriptor recycled so far
 	addr  map[int]uint64 // slot base per index, fixed once seen
 
-	// MTE: colored means the slot still holds its tag color (allocating
-	// an uncolored slot pays the tagging term); taggedBytes is the tagged
-	// prefix of the slot's memory.
-	colored     map[int]bool
-	taggedBytes map[int]uint64
+	// colored means the slot still holds the color an allocation gave
+	// it; under MTE, allocating an uncolored slot pays the tagging term.
+	// colors counts the allocations that applied a color (ColorGuard
+	// and MTE), and colorCtr is the backend's .colors counter, read
+	// relative to its value at colorBase.
+	colored   map[int]bool
+	colors    uint64
+	colorCtr  *telemetry.Counter
+	colorBase uint64
 
 	initNs, teardownNs float64
 }
 
 func newSlabModel(kind Kind, b Backend, cfg Config) *slabModel {
 	m := &slabModel{
-		kind:        kind,
-		life:        LifecycleFor(kind, cfg.PreserveTagsOnMadvise),
-		stripes:     b.Layout().NumStripes,
-		procs:       cfg.Processes,
-		inUse:       make(map[int]Slot),
-		addr:        make(map[int]uint64),
-		colored:     make(map[int]bool),
-		taggedBytes: make(map[int]uint64),
+		kind:    kind,
+		life:    LifecycleFor(kind, cfg.PreserveTagsOnMadvise),
+		stripes: b.Layout().NumStripes,
+		procs:   cfg.Processes,
+		inUse:   make(map[int]Slot),
+		addr:    make(map[int]uint64),
+		colored: make(map[int]bool),
+	}
+	if kind == ColorGuard || kind == MTE {
+		m.colorCtr = telemetry.Default.Counter("isolation." + string(kind) + ".colors")
+		m.colorBase = m.colorCtr.Load()
 	}
 	for i := b.Capacity() - 1; i >= 0; i-- {
 		m.free = append(m.free, i)
@@ -69,24 +78,22 @@ func (m *slabModel) allocate(s Slot, err error, initialBytes uint64) error {
 		return fmt.Errorf("slot %d: addr %#x, want %#x", i, s.Addr, a)
 	}
 	m.addr[i] = s.Addr
-	var pkey, tag uint8
+	var pkey uint8
 	var proc int
 	switch m.kind {
 	case ColorGuard:
 		pkey = uint8(1 + i%m.stripes)
-	case MTE:
-		tag = uint8(1 + i%15)
 	case MultiProc:
 		proc = i % m.procs
 	}
-	if s.Pkey != pkey || s.Tag != tag || s.Proc != proc {
-		return fmt.Errorf("slot %d: pkey/tag/proc %d/%d/%d, want %d/%d/%d", i, s.Pkey, s.Tag, s.Proc, pkey, tag, proc)
+	if s.Pkey != pkey || s.Proc != proc {
+		return fmt.Errorf("slot %d: pkey/proc %d/%d, want %d/%d", i, s.Pkey, s.Proc, pkey, proc)
 	}
 	recolor := m.kind == MTE && !m.colored[i]
-	if recolor {
-		m.colored[i] = true
-		m.taggedBytes[i] = max(m.taggedBytes[i], initialBytes)
+	if m.colorCtr != nil && (recolor || pkey != 0) {
+		m.colors++
 	}
+	m.colored[i] = true
 	m.initNs += m.life.InitNs(initialBytes, recolor)
 	m.inUse[i] = s
 	return nil
@@ -109,7 +116,6 @@ func (m *slabModel) recycle(s Slot, err error) error {
 	m.teardownNs += m.life.TeardownNs(s.MaxBytes)
 	if m.life.RecolorOnReuse {
 		m.colored[s.Index] = false
-		m.taggedBytes[s.Index] = 0
 	}
 	return nil
 }
@@ -118,9 +124,6 @@ func (m *slabModel) recycle(s Slot, err error) error {
 func (m *slabModel) grow(s Slot, err error, upTo uint64) error {
 	if err != nil {
 		return fmt.Errorf("grow slot %d to %d: %v", s.Index, upTo, err)
-	}
-	if m.kind == MTE {
-		m.taggedBytes[s.Index] = max(m.taggedBytes[s.Index], upTo)
 	}
 	return nil
 }
@@ -134,22 +137,15 @@ func (m *slabModel) check(b Backend) error {
 	if initNs != m.initNs || teardownNs != m.teardownNs {
 		return fmt.Errorf("lifecycle ns = %v/%v, want %v/%v", initNs, teardownNs, m.initNs, m.teardownNs)
 	}
-	if m.kind != MTE {
-		return nil
+	if m.colorCtr != nil {
+		if got := m.colorCtr.Load() - m.colorBase; got != m.colors {
+			return fmt.Errorf("%s colors = %d, want %d", m.kind, got, m.colors)
+		}
 	}
-	tags := b.(*mteBackend).Tags()
-	for i, a := range m.addr {
-		want := uint8(0)
-		if m.taggedBytes[i] > 0 {
-			want = uint8(1 + i%15)
-		}
-		if got := tags.Get(a); got != want {
-			return fmt.Errorf("slot %d first granule tag = %d, want %d", i, got, want)
-		}
-		if n := m.taggedBytes[i]; n > 0 && n < testMemBytes {
-			if got := tags.Get(a + n); got != 0 {
-				return fmt.Errorf("slot %d granule past the tagged %d bytes has tag %d, want 0", i, n, got)
-			}
+	state := b.(*slab).state
+	for i := range m.addr {
+		if got := state[i]&slotColored != 0; got != m.colored[i] {
+			return fmt.Errorf("slot %d colored = %v, want %v", i, got, m.colored[i])
 		}
 	}
 	return nil
@@ -159,8 +155,9 @@ func (m *slabModel) check(b Backend) error {
 // sequences of Allocate, Recycle (including recycles of already-free
 // slots), Grow and exhaustion, and after every step compares the
 // backend with the naive reference model: free-slot count, the error
-// each call returns, each slot's index, address and marking, the MTE
-// granule tags, and the lifecycle time LifecycleFor prices.
+// each call returns, each slot's index, address and marking, which
+// slots hold their color, the colorings counted, and the lifecycle time
+// LifecycleFor prices.
 func TestSlabMatchesModel(t *testing.T) {
 	sizes := []uint64{0, 4 << 10, 16 << 10, testMemBytes}
 	for _, kind := range Kinds() {

@@ -35,18 +35,18 @@ const (
 
 // slab is the shared pooled implementation behind every backend: the
 // slab reservation of a pool.Layout, the one slot table, the kind's
-// lifecycle cost model and the accumulated lifecycle accounting. Guard
-// pages, ColorGuard and multiproc are a bare slab; MTE embeds it and
-// adds the granule tagging its mechanism needs.
+// lifecycle cost model and the accumulated lifecycle accounting. Every
+// kind is a bare slab: what tells them apart is computed from a slot's
+// index and priced by LifecycleFor.
 //
 // The table is the only slot state. Slots below next have been
 // allocated at least once and have a state byte; slots from next on
 // were never used. Allocate pops the most recently recycled slot, and
 // otherwise takes next, so slots go out in index order first and LIFO
 // after — and Reserve costs the same host memory whatever the slot
-// count. Everything else about a slot (address, stripe key, MTE tag,
-// process) is computed from its index, and Grow and Recycle trust only
-// the index of the Slot they are handed.
+// count. Everything else about a slot (address, stripe key, process)
+// is computed from its index, and Grow and Recycle trust only the index
+// of the Slot they are handed.
 type slab struct {
 	kind  Kind
 	as    *mem.AS
@@ -64,10 +64,10 @@ type slab struct {
 
 	// Lifecycle telemetry (isolation.<kind>.allocates/.recycles/.grows,
 	// and .colors for the two kinds that color slots), bound by Reserve;
-	// .colors counts allocations that applied a color (an MPK key or
-	// fresh MTE tags). Lifecycle events are per-instance, not
-	// per-instruction, so the single atomic add per event is paid
-	// unconditionally.
+	// .colors counts allocations that applied a color (an MPK key, or
+	// MTE tags the slot did not still hold). Lifecycle events are
+	// per-instance, not per-instruction, so the single atomic add per
+	// event is paid unconditionally.
 	ctrAlloc   *telemetry.Counter
 	ctrRecycle *telemetry.Counter
 	ctrGrow    *telemetry.Counter
@@ -110,17 +110,13 @@ func (s *slab) Reserve(as *mem.AS, cfg Config) error {
 
 // slot returns the descriptor of slot i, computed from its index.
 func (s *slab) slot(i int) Slot {
-	sl := Slot{
+	return Slot{
 		Index:    i,
 		Addr:     s.base + s.layout.SlotOffset(i),
 		Pkey:     s.layout.KeyForSlot(i),
 		Proc:     i % s.procs,
 		MaxBytes: s.layout.MaxMemoryBytes,
 	}
-	if s.kind == MTE {
-		sl.Tag = TagForSlot(i)
-	}
-	return sl
 }
 
 // lookup returns the descriptor of allocated slot i, or ErrDoubleFree
@@ -153,25 +149,24 @@ func (s *slab) open(sl Slot, bytes uint64) error {
 	return nil
 }
 
-// allocate takes the next free slot, opens initialBytes of it and
-// charges the lifecycle init cost. recolor reports that the kind stores
-// colors in memory and the slot did not hold its color, so the coloring
-// term was charged (and MTE must tag the slot). On error the table is
-// unchanged.
-func (s *slab) allocate(initialBytes uint64) (sl Slot, recolor bool, err error) {
+// Allocate takes the next free slot, opens initialBytes of it and
+// charges the lifecycle init cost, with the coloring term when the kind
+// stores colors in memory and the slot does not hold its color. On
+// error the table is unchanged.
+func (s *slab) Allocate(initialBytes uint64) (Slot, error) {
 	if !s.reserved() {
-		return Slot{}, false, ErrNotReserved
+		return Slot{}, ErrNotReserved
 	}
 	i, fresh := s.next, true
 	if n := len(s.recycled); n > 0 {
 		i, fresh = s.recycled[n-1], false
 	} else if i == s.layout.NumSlots {
-		return Slot{}, false, ErrExhausted
+		return Slot{}, ErrExhausted
 	}
-	sl = s.slot(i)
+	sl := s.slot(i)
 	if initialBytes > 0 {
 		if err := s.open(sl, initialBytes); err != nil {
-			return Slot{}, false, err
+			return Slot{}, err
 		}
 	}
 	if fresh {
@@ -180,46 +175,37 @@ func (s *slab) allocate(initialBytes uint64) (sl Slot, recolor bool, err error) 
 	} else {
 		s.recycled = s.recycled[:len(s.recycled)-1]
 	}
-	recolor = s.state[i]&slotColored == 0 && s.life.ColorNsPerByte > 0
+	recolor := s.state[i]&slotColored == 0 && s.life.ColorNsPerByte > 0
 	s.state[i] = slotInUse | slotColored
 	s.initNs += s.life.InitNs(initialBytes, recolor)
 	s.ctrAlloc.Inc()
 	if s.ctrColor != nil && (recolor || sl.Pkey != 0) {
 		s.ctrColor.Inc()
 	}
-	return sl, recolor, nil
-}
-
-func (s *slab) Allocate(initialBytes uint64) (Slot, error) {
-	sl, _, err := s.allocate(initialBytes)
-	return sl, err
-}
-
-// grow opens the first upTo bytes of allocated slot i.
-func (s *slab) grow(i int, upTo uint64) (Slot, error) {
-	sl, err := s.lookup(i)
-	if err != nil {
-		return Slot{}, err
-	}
-	if err := s.open(sl, upTo); err != nil {
-		return Slot{}, err
-	}
-	s.ctrGrow.Inc()
 	return sl, nil
 }
 
+// Grow opens the first upTo bytes of allocated slot sl.Index.
 func (s *slab) Grow(sl Slot, upTo uint64) error {
-	_, err := s.grow(sl.Index, upTo)
-	return err
+	sl, err := s.lookup(sl.Index)
+	if err != nil {
+		return err
+	}
+	if err := s.open(sl, upTo); err != nil {
+		return err
+	}
+	s.ctrGrow.Inc()
+	return nil
 }
 
-// recycle discards the contents of allocated slot i with madvise —
-// keeping the mapping and any MPK color — pushes it on the recycled
+// Recycle discards the contents of allocated slot sl.Index with madvise
+// — keeping the mapping and any MPK color — pushes it on the recycled
 // stack and charges the lifecycle teardown cost.
-func (s *slab) recycle(i int) (Slot, error) {
+func (s *slab) Recycle(sl Slot) error {
+	i := sl.Index
 	sl, err := s.lookup(i)
 	if err != nil {
-		return Slot{}, err
+		return err
 	}
 	// The slot is page-aligned and inside the slab mapping, so madvise
 	// cannot fail.
@@ -231,12 +217,7 @@ func (s *slab) recycle(i int) (Slot, error) {
 	s.recycled = append(s.recycled, i)
 	s.teardownNs += s.life.TeardownNs(sl.MaxBytes)
 	s.ctrRecycle.Inc()
-	return sl, nil
-}
-
-func (s *slab) Recycle(sl Slot) error {
-	_, err := s.recycle(sl.Index)
-	return err
+	return nil
 }
 
 func (s *slab) Release() error {

@@ -105,7 +105,6 @@ type VMA struct {
 // AS is a simulated address space. The zero value is not usable;
 // construct with NewAS.
 type AS struct {
-	bits  uint8
 	limit uint64 // first address beyond user space
 
 	vmas  []VMA
@@ -147,14 +146,10 @@ func NewAS(bits uint8) *AS {
 		panic("mem: unreasonable address-space size")
 	}
 	return &AS{
-		bits:  bits,
 		limit: uint64(1) << bits,
 		pages: make(map[uint64]*[PageSize]byte),
 	}
 }
-
-// Bits returns the user address-space width in bits.
-func (a *AS) Bits() uint8 { return a.bits }
 
 // Gen returns the mapping generation: it changes whenever a mutation
 // could invalidate externally cached per-page permissions or backing
@@ -169,9 +164,6 @@ func (a *AS) Gen() uint64 { return a.gen }
 func (a *AS) PageFor(addr uint64, alloc bool) *[PageSize]byte {
 	return a.page(addr, alloc)
 }
-
-// Size returns the total user address-space size in bytes.
-func (a *AS) Size() uint64 { return a.limit }
 
 // VMACount returns the current number of VMAs.
 func (a *AS) VMACount() int { return len(a.vmas) }
@@ -446,13 +438,6 @@ func (a *AS) VMAAt(addr uint64) (VMA, bool) {
 		return VMA{}, false
 	}
 	return a.vmas[i], true
-}
-
-// VMAs returns a copy of the VMA list (for inspection and tests).
-func (a *AS) VMAs() []VMA {
-	out := make([]VMA, len(a.vmas))
-	copy(out, a.vmas)
-	return out
 }
 
 // PkeyAllowed reports whether the PKRU register value permits the given

@@ -23,7 +23,7 @@ func TestMmapBasics(t *testing.T) {
 		t.Fatalf("unaligned err = %v", err)
 	}
 	// Beyond the address space fails.
-	if err := a.Mmap(a.Size()-PageSize, 2*PageSize, ProtRead); !errors.Is(err, ErrOutOfRange) {
+	if err := a.Mmap(a.limit-PageSize, 2*PageSize, ProtRead); !errors.Is(err, ErrOutOfRange) {
 		t.Fatalf("out-of-range err = %v", err)
 	}
 }
@@ -138,14 +138,14 @@ func TestMprotectSplitCoalesce(t *testing.T) {
 		t.Fatal(err)
 	}
 	if a.VMACount() != 3 {
-		t.Fatalf("after split: %d VMAs, want 3: %v", a.VMACount(), a.VMAs())
+		t.Fatalf("after split: %d VMAs, want 3: %v", a.VMACount(), a.vmas)
 	}
 	// Restoring the protection coalesces back to one VMA.
 	if err := a.Mprotect(0x12000, 2*PageSize, ProtRead|ProtWrite); err != nil {
 		t.Fatal(err)
 	}
 	if a.VMACount() != 1 {
-		t.Fatalf("after restore: %d VMAs, want 1: %v", a.VMACount(), a.VMAs())
+		t.Fatalf("after restore: %d VMAs, want 1: %v", a.VMACount(), a.vmas)
 	}
 	// Protecting an unmapped range fails.
 	if err := a.Mprotect(0x40000, PageSize, ProtRead); !errors.Is(err, ErrUnmapped) {

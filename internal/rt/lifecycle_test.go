@@ -212,7 +212,7 @@ func TestResetEqualsFreshInstance(t *testing.T) {
 					t.Fatalf("%s: %v", name, err)
 				}
 				fresh.Mach.Tier = tier
-				slot := fresh.Slot().Index
+				slot := fresh.place.Slot.Index
 				want1, want2 := run(fresh), run(fresh)
 				if err := fresh.Close(); err != nil {
 					t.Fatalf("%s: %v", name, err)
@@ -222,8 +222,8 @@ func TestResetEqualsFreshInstance(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
-				if warm.Slot().Index != slot {
-					t.Fatalf("%s: slot %d, then slot %d", name, slot, warm.Slot().Index)
+				if warm.place.Slot.Index != slot {
+					t.Fatalf("%s: slot %d, then slot %d", name, slot, warm.place.Slot.Index)
 				}
 				warm.Mach.Tier = tier // Reset's machine keeps it
 				run(warm)

@@ -58,9 +58,9 @@ func (inst *Instance) initMemory() {
 // the instance, not the machine, so they carry over, and so does the
 // instance's execution tier. VMA protections and
 // MPK colors are properties of the mappings, not the pages, so they
-// survive untouched; MTE granule tags live in the owning slab, which
-// Reset deliberately never touches (no teardown/re-tag charge — that
-// is the point of keeping the slot).
+// survive untouched; an MTE slot's color is the owning slab's state,
+// which Reset deliberately never touches (no teardown/re-tag charge —
+// that is the point of keeping the slot).
 //
 // An instance whose linear memory grew is rejected with
 // ErrGrownInstance: callers should Close it and cold-start the next

@@ -66,18 +66,8 @@ type HostCall struct {
 	Args []uint64
 }
 
-// MemRead copies n bytes of linear memory at addr, failing on
+// MemWrite copies data into linear memory at addr, failing on
 // out-of-bounds like a trapping access would.
-func (hc *HostCall) MemRead(addr uint32, n uint32) ([]byte, error) {
-	if uint64(addr)+uint64(n) > hc.Inst.MemBytes {
-		return nil, &cpu.Trap{Kind: cpu.TrapPageFault, Addr: hc.Inst.HeapBase + uint64(addr)}
-	}
-	buf := make([]byte, n)
-	hc.Inst.AS.ReadBytes(hc.Inst.HeapBase+uint64(addr), buf)
-	return buf, nil
-}
-
-// MemWrite copies data into linear memory at addr.
 func (hc *HostCall) MemWrite(addr uint32, data []byte) error {
 	if uint64(addr)+uint64(len(data)) > hc.Inst.MemBytes {
 		return &cpu.Trap{Kind: cpu.TrapPageFault, Addr: hc.Inst.HeapBase + uint64(addr)}
@@ -188,18 +178,6 @@ type Instance struct {
 
 	hosts map[string]HostFunc
 }
-
-// Scheme returns the transition scheme the instance's crossings are
-// charged under.
-func (inst *Instance) Scheme() isolation.Scheme { return inst.scheme }
-
-// Slot returns the isolation slot the instance runs in (the zero Slot
-// for unmarked standalone instances).
-func (inst *Instance) Slot() isolation.Slot { return inst.place.Slot }
-
-// Backend returns the isolation backend owning the instance's slot, or
-// nil for standalone instances.
-func (inst *Instance) Backend() isolation.Backend { return inst.place.Backend }
 
 // NewInstance lays out and initializes an instance of mod.
 func NewInstance(mod *Module, opts InstanceOptions) (*Instance, error) {
@@ -430,8 +408,7 @@ func (inst *Instance) Invoke(name string, args ...uint64) ([]uint64, error) {
 			ipos++
 		}
 	}
-	m.Start(fnIdx, intArgs[:ipos]...)
-	err = m.Run()
+	err = m.Call(fnIdx, intArgs[:ipos]...)
 	inst.transitionOut()
 	if err != nil {
 		return nil, err

@@ -650,7 +650,10 @@ func TestSegueCodeShape(t *testing.T) {
 	m.MustExport("pat2")
 
 	count := func(mode sfi.Mode) (insts int, bytes int) {
-		prog, _ := sfi.MustCompile(m, sfi.DefaultConfig(mode))
+		prog, _, err := sfi.Compile(m, sfi.DefaultConfig(mode))
+		if err != nil {
+			t.Fatal(err)
+		}
 		f := prog.Funcs[0]
 		return len(f.Insts), f.ByteLen
 	}

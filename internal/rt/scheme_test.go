@@ -82,8 +82,8 @@ func TestSchemeInvokeDelta(t *testing.T) {
 		if _, err := inst.Invoke("nop"); err != nil {
 			t.Fatal(err)
 		}
-		if inst.Scheme() != s {
-			t.Fatalf("Scheme() = %v, want %v", inst.Scheme(), s)
+		if inst.scheme != s {
+			t.Fatalf("scheme = %v, want %v", inst.scheme, s)
 		}
 		return inst.Mach.Stats.Cycles
 	}
@@ -221,7 +221,7 @@ func TestInstanceSchemeFromBackend(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer inst.Close()
-		if got := inst.Scheme(); got != isolation.ResolveScheme(want) {
+		if got := inst.scheme; got != isolation.ResolveScheme(want) {
 			t.Errorf("scheme = %v, want %v", got, isolation.ResolveScheme(want))
 		}
 	}

@@ -381,9 +381,6 @@ func (s *Server) now() float64 { return float64(time.Since(s.start)) }
 // finish. Call before shutting the HTTP listener down.
 func (s *Server) BeginDrain() { s.draining.Store(true) }
 
-// Draining reports whether BeginDrain has been called.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // Close stops the workers and releases their backends. Only call once
 // no handler can still be enqueueing — i.e. after BeginDrain plus
 // http.Server.Shutdown. Queued jobs are still executed before workers

@@ -295,16 +295,6 @@ func Compile(m *ir.Module, cfg Config) (*cpu.Program, *Meta, error) {
 	return prog, meta, nil
 }
 
-// MustCompile is Compile that panics on error, for benchmarks and
-// examples working with known-good kernels.
-func MustCompile(m *ir.Module, cfg Config) (*cpu.Program, *Meta) {
-	p, mt, err := Compile(m, cfg)
-	if err != nil {
-		panic(err)
-	}
-	return p, mt
-}
-
 // Disassemble renders a compiled function as annotated assembly, used
 // by cmd/sfic to show the Figure 1 comparison.
 func Disassemble(f *cpu.Func) string {

@@ -3,11 +3,22 @@ package sfi_test
 import (
 	"testing"
 
+	"repro/internal/cpu"
 	"repro/internal/ir"
 	"repro/internal/rt"
 	"repro/internal/sfi"
 	"repro/internal/x86"
 )
+
+// compile compiles m under cfg, failing the test on error.
+func compile(t *testing.T, m *ir.Module, cfg sfi.Config) *cpu.Program {
+	t.Helper()
+	prog, _, err := sfi.Compile(m, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return prog
+}
 
 // fig1Module builds the two memory-access patterns of the paper's
 // Figure 1: an int-to-pointer dereference (pattern 1) and a struct
@@ -35,7 +46,7 @@ func fig1Module() *ir.Module {
 func TestFigure1InstructionCounts(t *testing.T) {
 	m := fig1Module()
 	counts := func(mode sfi.Mode) (p1, p2 int) {
-		prog, _ := sfi.MustCompile(m, sfi.DefaultConfig(mode))
+		prog := compile(t, m, sfi.DefaultConfig(mode))
 		return len(prog.Funcs[0].Insts), len(prog.Funcs[1].Insts)
 	}
 	g1, g2 := counts(sfi.ModeGuard)
@@ -61,9 +72,9 @@ func TestWAMRLimitedSegue(t *testing.T) {
 	m := fig1Module()
 	cfg := sfi.DefaultConfig(sfi.ModeSegue)
 	cfg.FoldOperandSlot = false
-	prog, _ := sfi.MustCompile(m, cfg)
+	prog := compile(t, m, cfg)
 	limited := len(prog.Funcs[1].Insts)
-	full, _ := sfi.MustCompile(m, sfi.DefaultConfig(sfi.ModeSegue))
+	full := compile(t, m, sfi.DefaultConfig(sfi.ModeSegue))
 	if len(full.Funcs[1].Insts) >= limited {
 		t.Errorf("full segue (%d insts) should beat register-only segue (%d)", len(full.Funcs[1].Insts), limited)
 	}
@@ -90,7 +101,7 @@ func TestLFIPinsR15(t *testing.T) {
 func TestLFIReturnInstrumentation(t *testing.T) {
 	m := fig1Module()
 	count := func(mode sfi.Mode) int {
-		prog, _ := sfi.MustCompile(m, sfi.DefaultConfig(mode))
+		prog := compile(t, m, sfi.DefaultConfig(mode))
 		return len(prog.Funcs[0].Insts)
 	}
 	if lfi, guard := count(sfi.ModeLFI), count(sfi.ModeGuard); lfi <= guard {
@@ -216,15 +227,15 @@ func TestOversizedOffsetRegression(t *testing.T) {
 
 // TestDisassemble sanity-checks the listing output used by cmd/sfic.
 func TestDisassemble(t *testing.T) {
-	prog, _ := sfi.MustCompile(fig1Module(), sfi.DefaultConfig(sfi.ModeSegue))
+	prog := compile(t, fig1Module(), sfi.DefaultConfig(sfi.ModeSegue))
 	out := sfi.Disassemble(prog.Funcs[1])
 	if len(out) == 0 {
 		t.Fatal("empty disassembly")
 	}
 	found := false
 	for _, in := range prog.Funcs[1].Insts {
-		if in.HasMem() {
-			if mem, _ := in.MemOperand(); mem.Seg == x86.SegGS {
+		for _, op := range []x86.Operand{in.Dst, in.Src} {
+			if op.Kind == x86.KindMem && op.Mem.Seg == x86.SegGS {
 				found = true
 			}
 		}

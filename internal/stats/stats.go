@@ -1,7 +1,7 @@
 // Package stats provides the small statistical helpers the benchmark
-// harness needs: geometric mean, arithmetic mean, standard deviation,
-// median, and a deterministic pseudo-random source with the distributions
-// used by the FaaS simulation (uniform, exponential, Poisson).
+// harness needs: geometric mean, median, percentiles, and a
+// deterministic pseudo-random source with the distributions used by the
+// FaaS simulation (uniform, exponential, Poisson).
 //
 // Everything here is deterministic: the RNG is a seeded xoshiro-style
 // generator so that simulations and tests are reproducible run to run.
@@ -27,33 +27,6 @@ func Geomean(xs []float64) float64 {
 		sum += math.Log(x)
 	}
 	return math.Exp(sum / float64(len(xs)))
-}
-
-// Mean returns the arithmetic mean of xs, or 0 for an empty slice.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
-}
-
-// Stddev returns the sample standard deviation of xs (n-1 denominator),
-// or 0 when fewer than two samples are given.
-func Stddev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	sum := 0.0
-	for _, x := range xs {
-		d := x - m
-		sum += d * d
-	}
-	return math.Sqrt(sum / float64(len(xs)-1))
 }
 
 // Median returns the median of xs without modifying it.
@@ -94,34 +67,6 @@ func Percentile(xs []float64, q float64) float64 {
 	}
 	frac := pos - float64(i)
 	return cp[i] + frac*(cp[i+1]-cp[i])
-}
-
-// Min returns the smallest element of xs, or 0 for an empty slice.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the largest element of xs, or 0 for an empty slice.
-func Max(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
 }
 
 // RNG is a deterministic splitmix64-seeded xoshiro256** generator.

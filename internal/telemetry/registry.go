@@ -2,11 +2,9 @@ package telemetry
 
 import (
 	"encoding/json"
-	"fmt"
 	"math"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -280,25 +278,4 @@ func (s Snapshot) JSON() []byte {
 		panic(err)
 	}
 	return append(data, '\n')
-}
-
-// Text renders the snapshot as sorted "name value" lines.
-func (s Snapshot) Text() string {
-	var lines []string
-	for k, v := range s.Counters {
-		lines = append(lines, fmt.Sprintf("%s %d", k, v))
-	}
-	for k, v := range s.Gauges {
-		lines = append(lines, fmt.Sprintf("%s %d", k, v))
-	}
-	for k, h := range s.Histograms {
-		lines = append(lines,
-			fmt.Sprintf("%s.count %d", k, h.Count),
-			fmt.Sprintf("%s.sum %g", k, h.Sum),
-			fmt.Sprintf("%s.p50 %g", k, h.P50),
-			fmt.Sprintf("%s.p95 %g", k, h.P95),
-			fmt.Sprintf("%s.p99 %g", k, h.P99))
-	}
-	sort.Strings(lines)
-	return strings.Join(lines, "\n") + "\n"
 }

@@ -126,9 +126,6 @@ func TestSnapshotJSONDeterministic(t *testing.T) {
 	if parsed.Histograms["lat"].Count != 2 {
 		t.Fatalf("round-trip lost histogram: %+v", parsed.Histograms)
 	}
-	if t1, t2 := r1.Snapshot().Text(), r2.Snapshot().Text(); t1 != t2 {
-		t.Fatalf("text snapshots differ:\n%s\nvs\n%s", t1, t2)
-	}
 }
 
 func TestHistogramFirstRegistrationWins(t *testing.T) {

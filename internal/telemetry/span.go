@@ -109,21 +109,6 @@ func (s *Span) Add(p Phase, ns float64) {
 	s.durs[p] += ns
 }
 
-// Get returns the accumulated nanoseconds of phase p.
-func (s *Span) Get(p Phase) float64 { return s.durs[p] }
-
-// Total returns the sum over all phases.
-func (s *Span) Total() float64 {
-	var t float64
-	for _, d := range s.durs {
-		t += d
-	}
-	return t
-}
-
-// Durations returns a copy of the per-phase nanoseconds.
-func (s *Span) Durations() [NumPhases]float64 { return s.durs }
-
 // PhaseMap renders the non-zero phases as a name → nanoseconds map
 // (for JSON payloads). Allocates; call only on recording paths.
 func (s *Span) PhaseMap() map[string]float64 {

@@ -121,7 +121,10 @@ func TestVectorizerFires(t *testing.T) {
 	for _, name := range []string{"memmove", "sieve"} {
 		k, _ := sg.Find(name)
 		count := func(cfg sfi.Config) int {
-			prog, _ := sfi.MustCompile(k.Build(false), cfg)
+			prog, _, err := sfi.Compile(k.Build(false), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
 			n := 0
 			for _, f := range prog.Funcs {
 				for _, in := range f.Insts {

@@ -308,23 +308,3 @@ func (i Inst) String() string {
 	}
 	return mn + " " + strings.Join(parts, ", ")
 }
-
-// HasMem reports whether the instruction touches memory through an
-// explicit memory operand (PUSH/POP/CALL/RET stack traffic is implicit).
-func (i Inst) HasMem() bool {
-	return i.Dst.Kind == KindMem || i.Src.Kind == KindMem
-}
-
-// MemOperand returns the instruction's memory operand and whether the
-// access is a store (memory operand is the destination). The second
-// result is false for loads and for instructions without a memory
-// operand (check HasMem first).
-func (i Inst) MemOperand() (Mem, bool) {
-	if i.Dst.Kind == KindMem {
-		return i.Dst.Mem, true
-	}
-	if i.Src.Kind == KindMem {
-		return i.Src.Mem, false
-	}
-	return Mem{}, false
-}

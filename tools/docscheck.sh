@@ -9,8 +9,11 @@
 #    including the fault-injection flags — and so does every program
 #    under examples/.
 # 5. Deleted names stay out of the docs: the legacy perf record, the
-#    slot allocators the isolation slab's table replaced, and the fused
-#    tier's profile pass and fusion switches.
+#    slot allocators the isolation slab's table replaced, the fused
+#    tier's profile pass and fusion switches, the MTE tag store, and the
+#    exported names the API census removed.
+# 6. The API census passes: every exported name has a non-test use or
+#    an allow-list entry with its reason (tools/apicensus).
 #
 # Run via `make docscheck`; `make ci` (and so CI) includes it.
 set -eu
@@ -138,6 +141,21 @@ if grep -rnE 'SetFuseEager|SetFuseWarmup|fuseWarmupInsts|FuseDebugDump|profile\.
     README.md EXPERIMENTS.md DESIGN.md ARCHITECTURE.md docs/ .claude/ >&2; then
     err "docs mention the deleted fused-tier profile pass (lines above)"
 fi
+# MTE is priced by isolation.LifecycleFor alone; the granule tag store
+# that nothing read stays gone from the docs.
+if grep -rnE 'internal/mte|TagStore|mteBackend|TagForSlot|Slot\.Tag\b|TagRangeClear' \
+    README.md EXPERIMENTS.md DESIGN.md ARCHITECTURE.md docs/ .claude/ >&2; then
+    err "docs mention the deleted MTE tag store (lines above)"
+fi
+# Exported names the API census found without a non-test caller, and
+# deleted, stay out of the docs.
+if grep -rnE 'sfi\.MustCompile|FuncByName|Resumable\(|RemoveWorker|Ring\.(Members|Remove)\b|Policy\.Forget|Server\.Draining|MemRead\(|HasMem\(|MemOperand\(|Machine\.(Running|ResultF)\b|stats\.(Stddev|Min|Max|Mean)\b|Span\.(Get|Total|Durations)\b|Snapshot\.Text|AS\.(Bits|Size|VMAs)\b|Rates\.Rate\b|Supervisor\.Kill|TLB\.Flushes|Mix\.Names|Instance\.(Slot|Scheme|Backend)\(' \
+    README.md EXPERIMENTS.md DESIGN.md ARCHITECTURE.md docs/ .claude/ >&2; then
+    err "docs mention an exported name the API census deleted (lines above)"
+fi
+
+# --- 6. API census --------------------------------------------------------
+go run ./tools/apicensus || err "API census failed (lines above)"
 
 if [ "$fail" -ne 0 ]; then
     echo "docscheck: FAILED" >&2
