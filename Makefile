@@ -75,8 +75,8 @@ trace-smoke:
 
 # Span-overhead guard: with spans fully enabled, fused-tier kernel
 # invocations must cost no more than 3% extra wall time versus the
-# spans-disabled path (fastest of 300 interleaved invocations each way,
-# to damp CI noise).
+# spans-disabled path (fastest of 20 interleaved five-invocation batches
+# each way, to damp CI noise).
 span-bench:
 	REPRO_SPANBENCH=1 $(GO) test -run TestSpanOverheadBounded -count=1 -v .
 

@@ -179,13 +179,13 @@ const (
 
 	// The §7 lifecycle measurements for a 64 KiB linear memory on real
 	// MTE hardware (a Pixel 8 Pro), as LifecycleFor prices them.
-	InitBaseNs     = 79_000.0 // mmap + zeroing, no MTE
-	TeardownBaseNs = 29_000.0 // madvise(MADV_DONTNEED), no MTE
-	// TagNsPerByte: tagging took 2,182 µs in total, less the base.
-	TagNsPerByte = (2_182_000.0 - InitBaseNs) / 65536
-	// TagClearNsPerByte: teardown that discards tags took 377 µs in
+	initBaseNs     = 79_000.0 // mmap + zeroing, no MTE
+	teardownBaseNs = 29_000.0 // madvise(MADV_DONTNEED), no MTE
+	// tagNsPerByte: tagging took 2,182 µs in total, less the base.
+	tagNsPerByte = (2_182_000.0 - initBaseNs) / 65536
+	// tagClearNsPerByte: teardown that discards tags took 377 µs in
 	// total, less the base.
-	TagClearNsPerByte = (377_000.0 - TeardownBaseNs) / 65536
+	tagClearNsPerByte = (377_000.0 - teardownBaseNs) / 65536
 )
 
 // LifecycleFor returns the lifecycle cost model of a backend kind. The
@@ -196,21 +196,21 @@ const (
 //	Observation 1 — user-level tagging moves at most two 16-byte
 //	granules per instruction, so coloring is paid per byte:
 //	initializing a 64 KiB memory goes from 79 µs to 2,182 µs
-//	(TagNsPerByte).
+//	(tagNsPerByte).
 //
 //	Observation 2 — madvise(MADV_DONTNEED) discards tags, so recycling
 //	a slot, free of coloring work under MPK whose colors live in PTEs,
-//	costs extra on teardown (29 µs → 377 µs, TagClearNsPerByte) and
+//	costs extra on teardown (29 µs → 377 µs, tagClearNsPerByte) and
 //	forces a full re-tag on the next allocation (RecolorOnReuse).
 //
 // With §7's proposed tag-preserving madvise (preserveTags) recycling
 // keeps the tags, and MTE recycles as cheaply as MPK.
 func LifecycleFor(kind Kind, preserveTags bool) LifecycleCost {
-	lc := LifecycleCost{InitBaseNs: InitBaseNs, TeardownBaseNs: TeardownBaseNs}
+	lc := LifecycleCost{InitBaseNs: initBaseNs, TeardownBaseNs: teardownBaseNs}
 	if kind == MTE {
-		lc.ColorNsPerByte = TagNsPerByte
+		lc.ColorNsPerByte = tagNsPerByte
 		if !preserveTags {
-			lc.DecolorNsPerByte = TagClearNsPerByte
+			lc.DecolorNsPerByte = tagClearNsPerByte
 			lc.RecolorOnReuse = true
 		}
 	}

@@ -447,8 +447,8 @@ func TestLifecycleCostModel(t *testing.T) {
 			t.Fatalf("%s preserve=%v: %v/%v µs, want %v/%v", c.kind, c.preserve, init, down, c.initUs, c.downUs)
 		}
 	}
-	if got := LifecycleFor(MTE, false).ColorNsPerByte; got != TagNsPerByte {
-		t.Fatalf("ColorNsPerByte = %v, want %v", got, TagNsPerByte)
+	if got := LifecycleFor(MTE, false).ColorNsPerByte; got != tagNsPerByte {
+		t.Fatalf("ColorNsPerByte = %v, want %v", got, tagNsPerByte)
 	}
 }
 

@@ -1,9 +1,8 @@
 // Command apicensus reports every exported name that no non-test file
 // uses: each exported package-level object, and each exported method,
-// declared in the modules it is given (by default the root module and
-// bench/). It type-checks their packages from source, test files left
-// out, and counts a name as used when some non-test file outside its own
-// declaration refers to it. A method also counts as used when it
+// declared in the root module and in bench/. It type-checks their
+// packages from source, test files left out, and counts a name as used
+// when some non-test file outside its own declaration refers to it. A method also counts as used when it
 // implements a method of a named interface declared in a checked
 // package or in anything they import (error, fmt.Stringer,
 // heap.Interface, isolation.Backend, ...), since calls through the
@@ -14,9 +13,9 @@
 // it reports that the allow-list does not cover, and on an allow-list
 // entry that covers nothing.
 //
-//	go run ./tools/apicensus                       the root module and bench/
-//	go run ./tools/apicensus -allow FILE DIR...    other modules, another list
+//	go run ./tools/apicensus
 //
+// It runs from the repository root and reads tools/apicensus/allow.txt.
 // Each allow-list line is a name as the census prints it, or a prefix
 // ending in ".*", then "#" and the reason; blank lines and lines starting
 // with "#" are comments.
@@ -24,7 +23,6 @@ package main
 
 import (
 	"bufio"
-	"flag"
 	"fmt"
 	"go/ast"
 	"go/build"
@@ -40,13 +38,7 @@ import (
 )
 
 func main() {
-	allowFile := flag.String("allow", "tools/apicensus/allow.txt", "allow-list `file`")
-	flag.Parse()
-	dirs := flag.Args()
-	if len(dirs) == 0 {
-		dirs = []string{".", "bench"}
-	}
-	if err := run(*allowFile, dirs); err != nil {
+	if err := run("tools/apicensus/allow.txt", []string{".", "bench"}); err != nil {
 		fmt.Fprintln(os.Stderr, "apicensus:", err)
 		os.Exit(1)
 	}
