@@ -13,7 +13,7 @@ import "repro/internal/x86"
 // Absolute cycle counts are not meaningful; ratios between compilation
 // modes on the same workload are.
 type CostModel struct {
-	ALU    float64 // simple integer op, mov, lea, setcc, cmov
+	ALU    float64 // simple integer op, mov, lea, setcc
 	Mul    float64
 	Div    float64
 	Load   float64 // includes L1-hit latency as seen by a full pipeline
@@ -21,11 +21,12 @@ type CostModel struct {
 	Branch float64 // predicted branch
 	Call   float64 // call/ret beyond their stack traffic
 
-	FPAdd  float64 // f64 add/sub/mul, converts, compares
-	FPDiv  float64 // f64 div
-	FPSqrt float64
-	Vec    float64 // 128-bit move/ALU
+	FPAdd float64 // f64 add/mul/min/abs, moves, converts
+	FPDiv float64 // f64 div
+	Vec   float64 // 128-bit move/ALU
 
+	// WRPKRU and WRGSBASE price a sandbox crossing's PKRU switch and
+	// segment-base write; internal/rt charges them per transition.
 	WRPKRU   float64 // §6.4.1: ≈44 cycles
 	WRGSBASE float64 // FSGSBASE user instruction
 	Epoch    float64 // epoch check (cmp+jcc pair)
@@ -67,10 +68,9 @@ func DefaultCostModel() CostModel {
 		Branch: 0.5,
 		Call:   1.0,
 
-		FPAdd:  0.5,
-		FPDiv:  8.0,
-		FPSqrt: 10.0,
-		Vec:    0.5,
+		FPAdd: 0.5,
+		FPDiv: 8.0,
+		Vec:   0.5,
 
 		WRPKRU:   44.0,
 		WRGSBASE: 3.0,
@@ -95,7 +95,7 @@ func DefaultCostModel() CostModel {
 // fetch, memory-hierarchy, and misprediction penalties.
 func (c *CostModel) opCost(op x86.Op) float64 {
 	switch op {
-	case x86.IMUL, x86.MULX:
+	case x86.IMUL:
 		return c.Mul
 	case x86.IDIV, x86.DIV:
 		return c.Div
@@ -103,19 +103,13 @@ func (c *CostModel) opCost(op x86.Op) float64 {
 		return c.Branch
 	case x86.CALLFN, x86.CALLREG, x86.CALLHOST, x86.RET:
 		return c.Call
-	case x86.ADDSD, x86.SUBSD, x86.MULSD, x86.MINSD, x86.MAXSD, x86.NEGSD, x86.ABSSD,
-		x86.UCOMISD, x86.CVTSI2SD, x86.CVTTSD2SI, x86.MOVSD, x86.MOVQXR, x86.MOVQRX:
+	case x86.ADDSD, x86.MULSD, x86.MINSD, x86.ABSSD,
+		x86.CVTSI2SD, x86.MOVSD, x86.MOVQXR, x86.MOVQRX:
 		return c.FPAdd
 	case x86.DIVSD:
 		return c.FPDiv
-	case x86.SQRTSD:
-		return c.FPSqrt
-	case x86.MOVDQU, x86.PADDD, x86.PXOR:
+	case x86.MOVDQU, x86.PXOR:
 		return c.Vec
-	case x86.WRPKRU, x86.RDPKRU:
-		return c.WRPKRU
-	case x86.WRGSBASE, x86.RDGSBASE, x86.WRFSBASE:
-		return c.WRGSBASE
 	case x86.EPOCH:
 		return c.Epoch
 	case x86.ENDBR:

@@ -50,7 +50,6 @@ const maxGroup = 16
 const (
 	fsMovRR uint8 = iota // MOV reg<-reg, w>=32
 	fsMovRI              // MOV reg<-imm, w>=32
-	fsExt                // MOVZX/MOVSX reg<-reg, w>=32
 	fsLea                // LEA reg, [recipe], w>=32
 
 	fsAddRR // ADD reg, reg, w>=32
@@ -63,40 +62,33 @@ const (
 	fsOrRI  // OR reg, imm, w>=32
 	fsXorRR // XOR reg, reg, w>=32
 	fsXorRI // XOR reg, imm, w>=32
-	fsMulRR // IMUL/MULX reg, reg, w>=32
-	fsMulRI // IMUL/MULX reg, imm, w>=32
+	fsMulRR // IMUL reg, reg, w>=32
+	fsMulRI // IMUL reg, imm, w>=32
 
 	fsShlRI // SHL reg, imm, w>=32
 	fsShrRI // SHR reg, imm, w>=32
 	fsSarRI // SAR reg, imm, w>=32
-	fsShift // ROL/ROR, or any shift with a register count, w>=32
+	fsShift // ROL, or any shift with a register count, w>=32
 
-	fsCmp   // CMP reg, reg
-	fsCmpI  // CMP reg, imm
-	fsCmpM  // CMP reg, [recipe]
-	fsTest  // TEST reg, reg
-	fsTestI // TEST reg, imm
+	fsCmp  // CMP reg, reg
+	fsCmpI // CMP reg, imm
+	fsCmpM // CMP reg, [recipe]
+	fsTest // TEST reg, reg
 
 	fsSetcc // SETcc reg
-	fsCmov  // CMOVcc reg<-reg, w>=32
 
 	fsLoad   // MOV reg<-[recipe], w>=32
 	fsLoadZX // MOVZX reg<-[recipe], w>=32
-	fsLoadSX // MOVSX reg<-[recipe], w>=32
 	fsStoreR // MOV [recipe]<-reg
 	fsStoreI // MOV [recipe]<-imm
 
-	fsFMovXX // MOVSD xmm<-xmm
 	fsFLoad  // MOVSD xmm<-[recipe]
 	fsFStore // MOVSD [recipe]<-xmm
 	fsFAdd   // ADDSD xmm, xmm
-	fsFSub   // SUBSD xmm, xmm
 	fsFMul   // MULSD xmm, xmm
 	fsFDiv   // DIVSD xmm, xmm
 	fsFMin   // MINSD xmm, xmm
-	fsFMax   // MAXSD xmm, xmm
 
-	fsVMovXX // MOVDQU xmm<-xmm
 	fsVLoad  // MOVDQU xmm<-[recipe]
 	fsVStore // MOVDQU [recipe]<-xmm
 
@@ -142,9 +134,9 @@ func (p *Program) fusedStream() []decFunc {
 			ctrFuseBlocks.Add(uint64(fp.blocks))
 			ctrFuseCompileNs.Add(uint64(time.Since(start).Nanoseconds()))
 		}
-		p.fused.Store(fp)
+		p.fused = fp
 	})
-	return p.fused.Load().funcs
+	return p.fused.funcs
 }
 
 // leaders returns the set of branch-entry points of one decoded
@@ -246,7 +238,6 @@ var aluKinds = map[x86.Op][2]uint8{
 	x86.OR:   {fsOrRR, fsOrRI},
 	x86.XOR:  {fsXorRR, fsXorRI},
 	x86.IMUL: {fsMulRR, fsMulRI},
-	x86.MULX: {fsMulRR, fsMulRI},
 }
 
 var shiftImmKinds = map[x86.Op]uint8{
@@ -257,11 +248,9 @@ var shiftImmKinds = map[x86.Op]uint8{
 
 var fKinds = map[x86.Op]uint8{
 	x86.ADDSD: fsFAdd,
-	x86.SUBSD: fsFSub,
 	x86.MULSD: fsFMul,
 	x86.DIVSD: fsFDiv,
 	x86.MINSD: fsFMin,
-	x86.MAXSD: fsFMax,
 }
 
 // classifyStep maps a predecoded instruction onto a micro-step, or
@@ -292,23 +281,17 @@ func classifyStep(in *dinst) (fstep, bool) {
 		default:
 			return st, false
 		}
-	case x86.MOVZX, x86.MOVSX:
-		switch {
-		case regDst && wide && regSrc:
-			st.kind, st.dst, st.src = fsExt, in.dst.reg, in.src.reg
-		case regDst && wide && memSrc && in.op == x86.MOVZX:
-			st.kind, st.dst, st.mem = fsLoadZX, in.dst.reg, &in.src
-		case regDst && wide && memSrc:
-			st.kind, st.dst, st.mem = fsLoadSX, in.dst.reg, &in.src
-		default:
+	case x86.MOVZX:
+		if !(regDst && wide && memSrc) {
 			return st, false
 		}
+		st.kind, st.dst, st.mem = fsLoadZX, in.dst.reg, &in.src
 	case x86.LEA:
 		if !(regDst && wide && memSrc) {
 			return st, false
 		}
 		st.kind, st.dst, st.mem = fsLea, in.dst.reg, &in.src
-	case x86.ADD, x86.SUB, x86.AND, x86.OR, x86.XOR, x86.IMUL, x86.MULX:
+	case x86.ADD, x86.SUB, x86.AND, x86.OR, x86.XOR, x86.IMUL:
 		k := aluKinds[in.op]
 		switch {
 		case regDst && wide && regSrc:
@@ -318,13 +301,13 @@ func classifyStep(in *dinst) (fstep, bool) {
 		default:
 			return st, false
 		}
-	case x86.SHL, x86.SHR, x86.SAR, x86.ROL, x86.ROR:
+	case x86.SHL, x86.SHR, x86.SAR, x86.ROL:
 		switch {
 		case regDst && wide && immSrc:
 			if k, ok := shiftImmKinds[in.op]; ok {
 				st.kind, st.dst, st.imm = k, in.dst.reg, in.src.imm
 			} else {
-				// ROL/ROR with an immediate count: generic shift step
+				// ROL with an immediate count: generic shift step
 				// with the count carried in imm and no count register.
 				st.kind, st.dst, st.src, st.imm = fsShift, in.dst.reg, dRegNone, in.src.imm
 			}
@@ -345,28 +328,17 @@ func classifyStep(in *dinst) (fstep, bool) {
 			return st, false
 		}
 	case x86.TEST:
-		switch {
-		case regDst && regSrc:
-			st.kind, st.dst, st.src = fsTest, in.dst.reg, in.src.reg
-		case regDst && immSrc:
-			st.kind, st.dst, st.imm = fsTestI, in.dst.reg, in.src.imm
-		default:
+		if !(regDst && regSrc) {
 			return st, false
 		}
+		st.kind, st.dst, st.src = fsTest, in.dst.reg, in.src.reg
 	case x86.SETCC:
 		if !regDst {
 			return st, false
 		}
 		st.kind, st.dst = fsSetcc, in.dst.reg
-	case x86.CMOV:
-		if !(regDst && wide && regSrc) {
-			return st, false
-		}
-		st.kind, st.dst, st.src = fsCmov, in.dst.reg, in.src.reg
 	case x86.MOVSD:
 		switch {
-		case in.dst.kind == dXmm && in.src.kind == dXmm:
-			st.kind, st.dst, st.src = fsFMovXX, in.dst.reg, in.src.reg
 		case in.dst.kind == dXmm && memSrc:
 			st.kind, st.dst, st.mem = fsFLoad, in.dst.reg, &in.src
 		case in.dst.kind == dMem && in.src.kind == dXmm:
@@ -376,8 +348,6 @@ func classifyStep(in *dinst) (fstep, bool) {
 		}
 	case x86.MOVDQU:
 		switch {
-		case in.dst.kind == dXmm && in.src.kind == dXmm:
-			st.kind, st.dst, st.src = fsVMovXX, in.dst.reg, in.src.reg
 		case in.dst.kind == dXmm && memSrc:
 			st.kind, st.dst, st.mem = fsVLoad, in.dst.reg, &in.src
 		case in.dst.kind == dMem && in.src.kind == dXmm:
@@ -385,7 +355,7 @@ func classifyStep(in *dinst) (fstep, bool) {
 		default:
 			return st, false
 		}
-	case x86.ADDSD, x86.SUBSD, x86.MULSD, x86.DIVSD, x86.MINSD, x86.MAXSD:
+	case x86.ADDSD, x86.MULSD, x86.DIVSD, x86.MINSD:
 		if in.src.kind != dXmm {
 			return st, false
 		}

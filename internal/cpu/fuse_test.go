@@ -176,7 +176,7 @@ func TestDecodedStreamStaysUnfused(t *testing.T) {
 		for fn := range prog.Funcs {
 			run(TierFused, fn)
 		}
-		if prog.FusedBlocks() == 0 {
+		if prog.fused == nil || prog.fused.blocks == 0 {
 			t.Fatal("no fused overlay after fused-tier runs")
 		}
 		for fn, df := range prog.decoded() {
@@ -244,7 +244,7 @@ func TestFusedTrapAttribution(t *testing.T) {
 				t.Fatalf("%v at fn %d pc %d, want %v at fn 0 pc %d", trap.Kind, trap.Fn, trap.PC, c.kind, c.pc)
 			}
 			interior := false
-			insts := fused.Prog.fused.Load().funcs[0].insts
+			insts := fused.Prog.fused.funcs[0].insts
 			for h := range insts {
 				if n := len(insts[h].steps); insts[h].op == opGroup && h < c.pc && c.pc < h+n {
 					interior = true

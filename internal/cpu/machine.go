@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"sync"
 
 	"repro/internal/cache"
@@ -645,8 +646,6 @@ func (m *Machine) runSlow() error {
 
 		next := fr.pc + 1
 		switch in.Op {
-		case x86.NOP:
-
 		case x86.MOV:
 			v, err := m.readOp(in.Src, in.W)
 			if err != nil {
@@ -678,25 +677,6 @@ func (m *Machine) runSlow() error {
 			if err := m.writeOp(in.Dst, in.W, maskW(v, in.W)); err != nil {
 				return err
 			}
-		case x86.XCHG:
-			a, _ := m.readOp(in.Dst, in.W)
-			b, _ := m.readOp(in.Src, in.W)
-			if err := m.writeOp(in.Dst, in.W, b); err != nil {
-				return err
-			}
-			if err := m.writeOp(in.Src, in.W, a); err != nil {
-				return err
-			}
-		case x86.CMOV:
-			v, err := m.readOp(in.Src, in.W)
-			if err != nil {
-				return err
-			}
-			if m.cond(in.Cond) {
-				if err := m.writeOp(in.Dst, in.W, v); err != nil {
-					return err
-				}
-			}
 		case x86.PUSH:
 			v, err := m.readOp(in.Dst, x86.W64)
 			if err != nil {
@@ -716,7 +696,7 @@ func (m *Machine) runSlow() error {
 				return err
 			}
 
-		case x86.ADD, x86.SUB, x86.AND, x86.OR, x86.XOR, x86.IMUL, x86.MULX:
+		case x86.ADD, x86.SUB, x86.AND, x86.OR, x86.XOR, x86.IMUL:
 			a, err := m.readOp(in.Dst, in.W)
 			if err != nil {
 				return err
@@ -742,31 +722,13 @@ func (m *Machine) runSlow() error {
 			case x86.XOR:
 				res = a ^ b
 				m.setFlagsLogic(res, in.W)
-			case x86.IMUL, x86.MULX:
+			case x86.IMUL:
 				res = a * b
 			}
 			if err := m.writeOp(in.Dst, in.W, res); err != nil {
 				return err
 			}
-		case x86.NOT:
-			a, err := m.readOp(in.Dst, in.W)
-			if err != nil {
-				return err
-			}
-			if err := m.writeOp(in.Dst, in.W, ^a); err != nil {
-				return err
-			}
-		case x86.NEG:
-			a, err := m.readOp(in.Dst, in.W)
-			if err != nil {
-				return err
-			}
-			res := -a
-			m.setFlagsSub(0, a, res, in.W)
-			if err := m.writeOp(in.Dst, in.W, res); err != nil {
-				return err
-			}
-		case x86.SHL, x86.SHR, x86.SAR, x86.ROL, x86.ROR:
+		case x86.SHL, x86.SHR, x86.SAR, x86.ROL:
 			a, err := m.readOp(in.Dst, in.W)
 			if err != nil {
 				return err
@@ -787,8 +749,6 @@ func (m *Machine) runSlow() error {
 				res = uint64(int64(signExtend(a, in.W)) >> c)
 			case x86.ROL:
 				res = a<<c | a>>(bitsN-c)
-			case x86.ROR:
-				res = a>>c | a<<(bitsN-c)
 			}
 			res = maskW(res, in.W)
 			m.zf = res == 0
@@ -879,12 +839,12 @@ func (m *Machine) runSlow() error {
 					m.Regs[x86.RDX] = a % d
 				}
 			}
-		case x86.POPCNT, x86.LZCNT, x86.TZCNT:
+		case x86.POPCNT:
 			v, err := m.readOp(in.Src, in.W)
 			if err != nil {
 				return err
 			}
-			res := bitCount(in.Op, v, in.W)
+			res := uint64(bits.OnesCount64(maskW(v, in.W)))
 			if err := m.writeOp(in.Dst, in.W, res); err != nil {
 				return err
 			}
@@ -952,8 +912,6 @@ func (m *Machine) runSlow() error {
 			m.frames = m.frames[:len(m.frames)-1]
 			continue
 
-		case x86.UD2:
-			return m.trap(TrapUD, 0)
 		case x86.TRAPIF:
 			if m.cond(in.Cond) {
 				return m.trap(TrapBounds, 0)
@@ -967,27 +925,14 @@ func (m *Machine) runSlow() error {
 		case x86.ENDBR, x86.BTBFLUSH, x86.INTERLOCK:
 			// Hardening pseudo-ops: architecturally inert, cost only.
 
-		case x86.WRGSBASE:
-			m.GSBase = m.Regs[in.Dst.Reg]
-		case x86.RDGSBASE:
-			m.Regs[in.Dst.Reg] = m.GSBase
-		case x86.WRFSBASE:
-			m.FSBase = m.Regs[in.Dst.Reg]
-		case x86.WRPKRU:
-			m.PKRU = uint32(m.Regs[x86.RAX])
-		case x86.RDPKRU:
-			m.Regs[x86.RAX] = uint64(m.PKRU)
-
 		case x86.MOVSD:
 			if err := m.execMOVSD(in); err != nil {
 				return err
 			}
-		case x86.ADDSD, x86.SUBSD, x86.MULSD, x86.DIVSD, x86.MINSD, x86.MAXSD:
+		case x86.ADDSD, x86.MULSD, x86.DIVSD, x86.MINSD:
 			if err := m.execFBin(in); err != nil {
 				return err
 			}
-		case x86.NEGSD:
-			m.XmmLo[in.Dst.Xmm] ^= 1 << 63
 		case x86.ABSSD:
 			m.XmmLo[in.Dst.Xmm] &^= 1 << 63
 		case x86.JTAB:
@@ -1004,32 +949,6 @@ func (m *Machine) runSlow() error {
 			} else {
 				next = in.Src.Label
 			}
-		case x86.SQRTSD:
-			v, err := m.readF(in.Src)
-			if err != nil {
-				return err
-			}
-			m.XmmLo[in.Dst.Xmm] = math.Float64bits(math.Sqrt(v))
-		case x86.UCOMISD:
-			a, err := m.readF(in.Dst)
-			if err != nil {
-				return err
-			}
-			b, err := m.readF(in.Src)
-			if err != nil {
-				return err
-			}
-			switch {
-			case math.IsNaN(a) || math.IsNaN(b):
-				m.zf, m.cf = true, true
-			case a == b:
-				m.zf, m.cf = true, false
-			case a < b:
-				m.zf, m.cf = false, true
-			default:
-				m.zf, m.cf = false, false
-			}
-			m.sf, m.of = false, false
 		case x86.CVTSI2SD:
 			v, err := m.readOp(in.Src, in.W)
 			if err != nil {
@@ -1042,28 +961,6 @@ func (m *Machine) runSlow() error {
 				fv = float64(int64(v))
 			}
 			m.XmmLo[in.Dst.Xmm] = math.Float64bits(fv)
-		case x86.CVTTSD2SI:
-			v, err := m.readF(in.Src)
-			if err != nil {
-				return err
-			}
-			// Stands for the engine's convert-with-checks sequence:
-			// NaN and out-of-range convert to a deterministic trap.
-			if math.IsNaN(v) {
-				return m.trap(TrapOverflow, 0)
-			}
-			t := math.Trunc(v)
-			if in.W == x86.W32 {
-				if t < math.MinInt32 || t > math.MaxInt32 {
-					return m.trap(TrapOverflow, 0)
-				}
-				m.Regs[in.Dst.Reg] = uint64(uint32(int32(t)))
-			} else {
-				if t < -9.223372036854776e18 || t >= 9.223372036854776e18 {
-					return m.trap(TrapOverflow, 0)
-				}
-				m.Regs[in.Dst.Reg] = uint64(int64(t))
-			}
 		case x86.MOVQXR:
 			m.Regs[in.Dst.Reg] = m.XmmLo[in.Src.Xmm]
 		case x86.MOVQRX:
@@ -1073,11 +970,6 @@ func (m *Machine) runSlow() error {
 			if err := m.execMOVDQU(in); err != nil {
 				return err
 			}
-		case x86.PADDD:
-			dl, dh := m.XmmLo[in.Dst.Xmm], m.XmmHi[in.Dst.Xmm]
-			sl, sh := m.XmmLo[in.Src.Xmm], m.XmmHi[in.Src.Xmm]
-			m.XmmLo[in.Dst.Xmm] = paddd64(dl, sl)
-			m.XmmHi[in.Dst.Xmm] = paddd64(dh, sh)
 		case x86.PXOR:
 			m.XmmLo[in.Dst.Xmm] ^= m.XmmLo[in.Src.Xmm]
 			m.XmmHi[in.Dst.Xmm] ^= m.XmmHi[in.Src.Xmm]
@@ -1134,16 +1026,12 @@ func (m *Machine) execFBin(in x86.Inst) error {
 	switch in.Op {
 	case x86.ADDSD:
 		r = a + b
-	case x86.SUBSD:
-		r = a - b
 	case x86.MULSD:
 		r = a * b
 	case x86.DIVSD:
 		r = a / b
 	case x86.MINSD:
 		r = math.Min(a, b)
-	case x86.MAXSD:
-		r = math.Max(a, b)
 	}
 	m.XmmLo[in.Dst.Xmm] = math.Float64bits(r)
 	return nil
@@ -1174,39 +1062,4 @@ func (m *Machine) execMOVDQU(in x86.Inst) error {
 	m.XmmLo[in.Dst.Xmm] = m.XmmLo[in.Src.Xmm]
 	m.XmmHi[in.Dst.Xmm] = m.XmmHi[in.Src.Xmm]
 	return nil
-}
-
-func paddd64(a, b uint64) uint64 {
-	lo := uint32(a) + uint32(b)
-	hi := uint32(a>>32) + uint32(b>>32)
-	return uint64(hi)<<32 | uint64(lo)
-}
-
-func bitCount(op x86.Op, v uint64, w x86.Width) uint64 {
-	n := widthBits(w)
-	v = maskW(v, w)
-	switch op {
-	case x86.POPCNT:
-		cnt := 0
-		for i := uint(0); i < n; i++ {
-			if v>>i&1 != 0 {
-				cnt++
-			}
-		}
-		return uint64(cnt)
-	case x86.LZCNT:
-		for i := int(n) - 1; i >= 0; i-- {
-			if v>>uint(i)&1 != 0 {
-				return uint64(int(n) - 1 - i)
-			}
-		}
-		return uint64(n)
-	default: // TZCNT
-		for i := uint(0); i < n; i++ {
-			if v>>i&1 != 0 {
-				return uint64(i)
-			}
-		}
-		return uint64(n)
-	}
 }

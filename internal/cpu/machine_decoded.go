@@ -3,6 +3,7 @@ package cpu
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/x86"
 )
@@ -90,12 +91,6 @@ frames:
 						m.Regs[st.dst&15] = m.Regs[st.src&15] & wmask[st.w&31]
 					case fsMovRI:
 						m.Regs[st.dst&15] = uint64(st.imm) & wmask[st.w&31]
-					case fsExt:
-						v := m.Regs[st.src&15] & wmask[st.srcW&31]
-						if st.op == x86.MOVSX {
-							v = signExtend(v, st.srcW)
-						}
-						m.Regs[st.dst&15] = v & wmask[st.w&31]
 					case fsLea:
 						m.Regs[st.dst&15] = m.eaDRest(st.mem, false) & wmask[st.w&31]
 
@@ -193,10 +188,8 @@ frames:
 							res = a >> c
 						case x86.SAR:
 							res = uint64(int64(signExtend(a, st.w)) >> c)
-						case x86.ROL:
+						default: // ROL
 							res = a<<c | a>>(bitsN-c)
-						default: // ROR
-							res = a>>c | a<<(bitsN-c)
 						}
 						res = maskW(res, st.w)
 						m.zf = res == 0
@@ -224,10 +217,6 @@ frames:
 						a := m.Regs[st.dst&15] & wmask[st.w&31]
 						b := m.Regs[st.src&15] & wmask[st.w&31]
 						m.setFlagsLogic(a&b, st.w)
-					case fsTestI:
-						a := m.Regs[st.dst&15] & wmask[st.w&31]
-						b := uint64(st.imm) & wmask[st.w&31]
-						m.setFlagsLogic(a&b, st.w)
 
 					case fsSetcc:
 						v := uint64(0)
@@ -235,11 +224,6 @@ frames:
 							v = 1
 						}
 						m.Regs[st.dst&15] = v
-					case fsCmov:
-						v := m.Regs[st.src&15] & wmask[st.w&31]
-						if m.cond(st.cond) {
-							m.Regs[st.dst&15] = v
-						}
 
 					case fsLoad:
 						fr.pc = pc + i
@@ -257,14 +241,6 @@ frames:
 							goto trapped
 						}
 						m.Regs[st.dst&15] = v & wmask[st.w&31]
-					case fsLoadSX:
-						fr.pc = pc + i
-						v, err := m.loadFast(m.eaD(st.mem), int(st.srcW))
-						if err != nil {
-							gerr = err
-							goto trapped
-						}
-						m.Regs[st.dst&15] = signExtend(v, st.srcW) & wmask[st.w&31]
 					case fsStoreR:
 						fr.pc = pc + i
 						v := m.Regs[st.src&15] & wmask[st.w&31]
@@ -280,8 +256,6 @@ frames:
 							goto trapped
 						}
 
-					case fsFMovXX:
-						m.XmmLo[st.dst] = m.XmmLo[st.src]
 					case fsFLoad:
 						fr.pc = pc + i
 						v, err := m.loadFast(m.eaD(st.mem), 8)
@@ -300,10 +274,6 @@ frames:
 						a := math.Float64frombits(m.XmmLo[st.dst])
 						b := math.Float64frombits(m.XmmLo[st.src])
 						m.XmmLo[st.dst] = math.Float64bits(a + b)
-					case fsFSub:
-						a := math.Float64frombits(m.XmmLo[st.dst])
-						b := math.Float64frombits(m.XmmLo[st.src])
-						m.XmmLo[st.dst] = math.Float64bits(a - b)
 					case fsFMul:
 						a := math.Float64frombits(m.XmmLo[st.dst])
 						b := math.Float64frombits(m.XmmLo[st.src])
@@ -316,14 +286,7 @@ frames:
 						a := math.Float64frombits(m.XmmLo[st.dst])
 						b := math.Float64frombits(m.XmmLo[st.src])
 						m.XmmLo[st.dst] = math.Float64bits(math.Min(a, b))
-					case fsFMax:
-						a := math.Float64frombits(m.XmmLo[st.dst])
-						b := math.Float64frombits(m.XmmLo[st.src])
-						m.XmmLo[st.dst] = math.Float64bits(math.Max(a, b))
 
-					case fsVMovXX:
-						m.XmmLo[st.dst] = m.XmmLo[st.src]
-						m.XmmHi[st.dst] = m.XmmHi[st.src]
 					case fsVLoad:
 						fr.pc = pc + i
 						addr := m.eaD(st.mem)
@@ -377,8 +340,6 @@ frames:
 				}
 				return gerr
 
-			case x86.NOP:
-
 			case x86.MOV:
 				// Register operands are open-coded in the hot integer cases:
 				// readOpD/writeOpD are one call too large for the inliner, and
@@ -425,25 +386,6 @@ frames:
 				if err := m.writeOpD(&in.dst, in.w, maskW(v, in.w)); err != nil {
 					return err
 				}
-			case x86.XCHG:
-				a, _ := m.readOpD(&in.dst, in.w)
-				b, _ := m.readOpD(&in.src, in.w)
-				if err := m.writeOpD(&in.dst, in.w, b); err != nil {
-					return err
-				}
-				if err := m.writeOpD(&in.src, in.w, a); err != nil {
-					return err
-				}
-			case x86.CMOV:
-				v, err := m.readOpD(&in.src, in.w)
-				if err != nil {
-					return err
-				}
-				if m.cond(in.cond) {
-					if err := m.writeOpD(&in.dst, in.w, v); err != nil {
-						return err
-					}
-				}
 			case x86.PUSH:
 				var v uint64
 				if in.dst.kind == dReg {
@@ -470,7 +412,7 @@ frames:
 					return err
 				}
 
-			case x86.ADD, x86.SUB, x86.AND, x86.OR, x86.XOR, x86.IMUL, x86.MULX:
+			case x86.ADD, x86.SUB, x86.AND, x86.OR, x86.XOR, x86.IMUL:
 				var a, b uint64
 				if in.dst.kind == dReg {
 					a = m.Regs[in.dst.reg&15] & wmask[in.w&31]
@@ -505,7 +447,7 @@ frames:
 				case x86.XOR:
 					res = a ^ b
 					m.setFlagsLogic(res, in.w)
-				case x86.IMUL, x86.MULX:
+				case x86.IMUL:
 					res = a * b
 				}
 				if in.dst.kind == dReg && in.w >= x86.W32 {
@@ -513,25 +455,7 @@ frames:
 				} else if err := m.writeOpDRest(&in.dst, in.w, res); err != nil {
 					return err
 				}
-			case x86.NOT:
-				a, err := m.readOpD(&in.dst, in.w)
-				if err != nil {
-					return err
-				}
-				if err := m.writeOpD(&in.dst, in.w, ^a); err != nil {
-					return err
-				}
-			case x86.NEG:
-				a, err := m.readOpD(&in.dst, in.w)
-				if err != nil {
-					return err
-				}
-				res := -a
-				m.setFlagsSub(0, a, res, in.w)
-				if err := m.writeOpD(&in.dst, in.w, res); err != nil {
-					return err
-				}
-			case x86.SHL, x86.SHR, x86.SAR, x86.ROL, x86.ROR:
+			case x86.SHL, x86.SHR, x86.SAR, x86.ROL:
 				var a, cnt uint64
 				if in.dst.kind == dReg {
 					a = m.Regs[in.dst.reg&15] & wmask[in.w&31]
@@ -564,8 +488,6 @@ frames:
 					res = uint64(int64(signExtend(a, in.w)) >> c)
 				case x86.ROL:
 					res = a<<c | a>>(bitsN-c)
-				case x86.ROR:
-					res = a>>c | a<<(bitsN-c)
 				}
 				res = maskW(res, in.w)
 				m.zf = res == 0
@@ -673,12 +595,12 @@ frames:
 						m.Regs[x86.RDX] = a % d
 					}
 				}
-			case x86.POPCNT, x86.LZCNT, x86.TZCNT:
+			case x86.POPCNT:
 				v, err := m.readOpD(&in.src, in.w)
 				if err != nil {
 					return err
 				}
-				res := bitCount(in.op, v, in.w)
+				res := uint64(bits.OnesCount64(maskW(v, in.w)))
 				if err := m.writeOpD(&in.dst, in.w, res); err != nil {
 					return err
 				}
@@ -746,8 +668,6 @@ frames:
 				m.frames = m.frames[:len(m.frames)-1]
 				continue frames
 
-			case x86.UD2:
-				return m.trap(TrapUD, 0)
 			case x86.TRAPIF:
 				if m.cond(in.cond) {
 					return m.trap(TrapBounds, 0)
@@ -761,27 +681,14 @@ frames:
 			case x86.ENDBR, x86.BTBFLUSH, x86.INTERLOCK:
 				// Hardening pseudo-ops: architecturally inert, cost only.
 
-			case x86.WRGSBASE:
-				m.GSBase = m.Regs[in.dst.reg]
-			case x86.RDGSBASE:
-				m.Regs[in.dst.reg] = m.GSBase
-			case x86.WRFSBASE:
-				m.FSBase = m.Regs[in.dst.reg]
-			case x86.WRPKRU:
-				m.PKRU = uint32(m.Regs[x86.RAX])
-			case x86.RDPKRU:
-				m.Regs[x86.RAX] = uint64(m.PKRU)
-
 			case x86.MOVSD:
 				if err := m.execMOVSDD(in); err != nil {
 					return err
 				}
-			case x86.ADDSD, x86.SUBSD, x86.MULSD, x86.DIVSD, x86.MINSD, x86.MAXSD:
+			case x86.ADDSD, x86.MULSD, x86.DIVSD, x86.MINSD:
 				if err := m.execFBinD(in); err != nil {
 					return err
 				}
-			case x86.NEGSD:
-				m.XmmLo[in.dst.reg] ^= 1 << 63
 			case x86.ABSSD:
 				m.XmmLo[in.dst.reg] &^= 1 << 63
 			case x86.JTAB:
@@ -796,32 +703,6 @@ frames:
 				} else {
 					next = int(in.src.imm)
 				}
-			case x86.SQRTSD:
-				v, err := m.readFD(&in.src)
-				if err != nil {
-					return err
-				}
-				m.XmmLo[in.dst.reg] = math.Float64bits(math.Sqrt(v))
-			case x86.UCOMISD:
-				a, err := m.readFD(&in.dst)
-				if err != nil {
-					return err
-				}
-				b, err := m.readFD(&in.src)
-				if err != nil {
-					return err
-				}
-				switch {
-				case math.IsNaN(a) || math.IsNaN(b):
-					m.zf, m.cf = true, true
-				case a == b:
-					m.zf, m.cf = true, false
-				case a < b:
-					m.zf, m.cf = false, true
-				default:
-					m.zf, m.cf = false, false
-				}
-				m.sf, m.of = false, false
 			case x86.CVTSI2SD:
 				v, err := m.readOpD(&in.src, in.w)
 				if err != nil {
@@ -834,26 +715,6 @@ frames:
 					fv = float64(int64(v))
 				}
 				m.XmmLo[in.dst.reg] = math.Float64bits(fv)
-			case x86.CVTTSD2SI:
-				v, err := m.readFD(&in.src)
-				if err != nil {
-					return err
-				}
-				if math.IsNaN(v) {
-					return m.trap(TrapOverflow, 0)
-				}
-				t := math.Trunc(v)
-				if in.w == x86.W32 {
-					if t < math.MinInt32 || t > math.MaxInt32 {
-						return m.trap(TrapOverflow, 0)
-					}
-					m.Regs[in.dst.reg] = uint64(uint32(int32(t)))
-				} else {
-					if t < -9.223372036854776e18 || t >= 9.223372036854776e18 {
-						return m.trap(TrapOverflow, 0)
-					}
-					m.Regs[in.dst.reg] = uint64(int64(t))
-				}
 			case x86.MOVQXR:
 				m.Regs[in.dst.reg] = m.XmmLo[in.src.reg]
 			case x86.MOVQRX:
@@ -863,11 +724,6 @@ frames:
 				if err := m.execMOVDQUD(in); err != nil {
 					return err
 				}
-			case x86.PADDD:
-				dl, dh := m.XmmLo[in.dst.reg], m.XmmHi[in.dst.reg]
-				sl, sh := m.XmmLo[in.src.reg], m.XmmHi[in.src.reg]
-				m.XmmLo[in.dst.reg] = paddd64(dl, sl)
-				m.XmmHi[in.dst.reg] = paddd64(dh, sh)
 			case x86.PXOR:
 				m.XmmLo[in.dst.reg] ^= m.XmmLo[in.src.reg]
 				m.XmmHi[in.dst.reg] ^= m.XmmHi[in.src.reg]

@@ -297,16 +297,12 @@ func (m *Machine) execFBinD(in *dinst) error {
 	switch in.op {
 	case x86.ADDSD:
 		r = a + b
-	case x86.SUBSD:
-		r = a - b
 	case x86.MULSD:
 		r = a * b
 	case x86.DIVSD:
 		r = a / b
 	case x86.MINSD:
 		r = math.Min(a, b)
-	case x86.MAXSD:
-		r = math.Max(a, b)
 	}
 	m.XmmLo[in.dst.reg] = math.Float64bits(r)
 	return nil

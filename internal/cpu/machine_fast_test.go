@@ -78,8 +78,8 @@ func TestFastSlowAgreement(t *testing.T) {
 		{Op: x86.ADD, W: x86.W64, Dst: x86.R(x86.RAX), Src: x86.Imm(12345)},
 		{Op: x86.SHL, W: x86.W64, Dst: x86.R(x86.RAX), Src: x86.Imm(3)},
 		{Op: x86.XOR, W: x86.W32, Dst: x86.R(x86.RAX), Src: x86.Imm(0x5A5A)},
-		{Op: x86.NEG, W: x86.W64, Dst: x86.R(x86.RAX)},
-		{Op: x86.NOT, W: x86.W64, Dst: x86.R(x86.RAX)},
+		{Op: x86.SAR, W: x86.W64, Dst: x86.R(x86.RAX), Src: x86.Imm(1)},
+		{Op: x86.ROL, W: x86.W64, Dst: x86.R(x86.RAX), Src: x86.Imm(7)},
 		{Op: x86.POPCNT, W: x86.W64, Dst: x86.R(x86.RCX), Src: x86.R(x86.RAX)},
 		// Memory: store/load through [rdx+disp], scaled index, addr32.
 		{Op: x86.MOV, W: x86.W64, Dst: x86.M(heapMem(0)), Src: x86.R(x86.RAX)},
@@ -110,14 +110,16 @@ func TestFastSlowAgreement(t *testing.T) {
 		{Op: x86.CVTSI2SD, W: x86.W64, Dst: x86.X(1), Src: x86.R(x86.RCX)},
 		{Op: x86.ADDSD, Dst: x86.X(0), Src: x86.X(1)},
 		{Op: x86.MULSD, Dst: x86.X(0), Src: x86.X(1)},
-		{Op: x86.SQRTSD, Dst: x86.X(2), Src: x86.X(0)},
-		{Op: x86.UCOMISD, Dst: x86.X(0), Src: x86.X(1)},
+		{Op: x86.MOVSD, Dst: x86.X(2), Src: x86.X(0)},
+		{Op: x86.DIVSD, Dst: x86.X(2), Src: x86.X(1)},
+		{Op: x86.MINSD, Dst: x86.X(2), Src: x86.X(0)},
+		{Op: x86.ABSSD, Dst: x86.X(2)},
+		{Op: x86.CMP, W: x86.W64, Dst: x86.R(x86.RAX), Src: x86.R(x86.RCX)},
 		{Op: x86.SETCC, Cond: x86.CondA, Dst: x86.R(x86.R12)},
 		{Op: x86.MOVSD, Dst: x86.M(heapMem(128)), Src: x86.X(2)},
 		{Op: x86.MOVSD, Dst: x86.X(3), Src: x86.M(heapMem(128))},
 		// Vector.
 		{Op: x86.MOVQRX, Dst: x86.X(4), Src: x86.R(x86.RAX)},
-		{Op: x86.PADDD, Dst: x86.X(4), Src: x86.X(4)},
 		{Op: x86.PXOR, Dst: x86.X(5), Src: x86.X(4)},
 		{Op: x86.MOVDQU, Dst: x86.M(heapMem(256)), Src: x86.X(4)},
 		{Op: x86.MOVDQU, Dst: x86.X(6), Src: x86.M(heapMem(256))},

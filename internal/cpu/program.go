@@ -9,7 +9,6 @@ package cpu
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/x86"
 )
@@ -75,19 +74,9 @@ type Program struct {
 	// once, the first time a fused-tier Machine runs it, and shared like
 	// dec: a module fused once serves every later Machine (the module
 	// cache in internal/rt shares Programs across instances for exactly
-	// this amortization). The pointer is atomic so that FusedBlocks can
-	// read it without building it.
+	// this amortization). Only fusedStream reads it, after fuseOnce.
 	fuseOnce sync.Once
-	fused    atomic.Pointer[fusedProg]
-}
-
-// FusedBlocks returns the number of superinstruction groups in the
-// fused overlay, or 0 if no fused-tier Machine has run the Program yet.
-func (p *Program) FusedBlocks() int {
-	if fp := p.fused.Load(); fp != nil {
-		return fp.blocks
-	}
-	return 0
+	fused    *fusedProg
 }
 
 // CodeBytes returns the total encoded size of all functions — the
@@ -110,7 +99,6 @@ const (
 	TrapProt                      // permission violation on a mapped page
 	TrapDivZero                   // integer division by zero
 	TrapOverflow                  // INT_MIN / -1
-	TrapUD                        // ud2 executed (unreachable)
 	TrapBounds                    // explicit bounds check failed (trapif)
 	TrapEpoch                     // epoch deadline reached (resumable)
 	TrapCallDepth                 // call stack exhausted
@@ -121,7 +109,7 @@ const (
 
 var trapKindNames = [...]string{
 	"page fault", "protection-key fault", "protection fault",
-	"divide by zero", "integer overflow", "invalid opcode",
+	"divide by zero", "integer overflow",
 	"bounds check failed", "epoch interrupt", "call depth exceeded",
 	"table index out of bounds", "null table entry", "indirect signature mismatch",
 }

@@ -23,23 +23,6 @@ func (m *Module) NewFunc(name string, t FuncType, locals ...ValType) *FuncBuilde
 	return &FuncBuilder{m: m, f: f}
 }
 
-// Index returns the function index (in the combined import+func space)
-// of the function being built.
-func (b *FuncBuilder) Index() uint32 {
-	for i, f := range b.m.Funcs {
-		if f == b.f {
-			return uint32(len(b.m.Imports) + i)
-		}
-	}
-	panic("ir: builder's function not in module")
-}
-
-// AddLocal appends an extra local of type t and returns its index.
-func (b *FuncBuilder) AddLocal(t ValType) uint32 {
-	b.f.Locals = append(b.f.Locals, t)
-	return uint32(len(b.f.Type.Params) + len(b.f.Locals) - 1)
-}
-
 // Build finalizes the body, checking that control is balanced. The
 // module-level Validate pass performs full type checking.
 func (b *FuncBuilder) Build() error {
@@ -65,10 +48,7 @@ func (b *FuncBuilder) emit(i Inst) *FuncBuilder {
 	return b
 }
 
-// Emit appends a raw instruction.
-func (b *FuncBuilder) Emit(i Inst) *FuncBuilder { return b.emit(i) }
-
-// Op appends a no-immediate instruction (ALU ops, conversions, drops).
+// Op appends a no-immediate instruction (ALU ops, conversions, sizing).
 func (b *FuncBuilder) Op(op Op) *FuncBuilder { return b.emit(Inst{Op: op}) }
 
 // --- Control flow ---
@@ -129,9 +109,6 @@ func (b *FuncBuilder) BrTable(targets []uint32, def uint32) *FuncBuilder {
 	return b.emit(Inst{Op: OpBrTable, Targets: cp, Imm: int64(def)})
 }
 
-// Return returns from the function.
-func (b *FuncBuilder) Return() *FuncBuilder { return b.emit(Inst{Op: OpReturn}) }
-
 // Call calls the function at the given index in the combined index space.
 func (b *FuncBuilder) Call(fn uint32) *FuncBuilder {
 	return b.emit(Inst{Op: OpCall, Imm: int64(fn)})
@@ -156,15 +133,7 @@ func (b *FuncBuilder) CallIndirect(t FuncType) *FuncBuilder {
 	return b.emit(i)
 }
 
-// Unreachable traps deterministically.
-func (b *FuncBuilder) Unreachable() *FuncBuilder { return b.emit(Inst{Op: OpUnreachable}) }
-
-// Drop discards the top stack value. Select picks between the second and
-// third stack values by the popped i32 condition.
-func (b *FuncBuilder) Drop() *FuncBuilder   { return b.Op(OpDrop) }
-func (b *FuncBuilder) Select() *FuncBuilder { return b.Op(OpSelect) }
-
-// --- Constants, locals, globals ---
+// --- Constants and locals ---
 
 // I32 pushes an i32 constant.
 func (b *FuncBuilder) I32(v int32) *FuncBuilder {
@@ -196,16 +165,6 @@ func (b *FuncBuilder) Tee(i uint32) *FuncBuilder {
 	return b.emit(Inst{Op: OpLocalTee, Imm: int64(i)})
 }
 
-// GGet pushes global i; GSet pops into global i.
-func (b *FuncBuilder) GGet(i uint32) *FuncBuilder {
-	return b.emit(Inst{Op: OpGlobalGet, Imm: int64(i)})
-}
-
-// GSet pops the top of stack into global i.
-func (b *FuncBuilder) GSet(i uint32) *FuncBuilder {
-	return b.emit(Inst{Op: OpGlobalSet, Imm: int64(i)})
-}
-
 // --- Memory ---
 
 func (b *FuncBuilder) mem(op Op, offset uint32) *FuncBuilder {
@@ -217,117 +176,64 @@ func (b *FuncBuilder) I32Load(offset uint32) *FuncBuilder    { return b.mem(OpI3
 func (b *FuncBuilder) I64Load(offset uint32) *FuncBuilder    { return b.mem(OpI64Load, offset) }
 func (b *FuncBuilder) F64Load(offset uint32) *FuncBuilder    { return b.mem(OpF64Load, offset) }
 func (b *FuncBuilder) I32Load8U(offset uint32) *FuncBuilder  { return b.mem(OpI32Load8U, offset) }
-func (b *FuncBuilder) I32Load8S(offset uint32) *FuncBuilder  { return b.mem(OpI32Load8S, offset) }
 func (b *FuncBuilder) I32Load16U(offset uint32) *FuncBuilder { return b.mem(OpI32Load16U, offset) }
-func (b *FuncBuilder) V128Load(offset uint32) *FuncBuilder   { return b.mem(OpV128Load, offset) }
 
 // Memory stores: value then address are popped (address pushed first).
-func (b *FuncBuilder) I32Store(offset uint32) *FuncBuilder   { return b.mem(OpI32Store, offset) }
-func (b *FuncBuilder) I64Store(offset uint32) *FuncBuilder   { return b.mem(OpI64Store, offset) }
-func (b *FuncBuilder) F64Store(offset uint32) *FuncBuilder   { return b.mem(OpF64Store, offset) }
-func (b *FuncBuilder) I32Store8(offset uint32) *FuncBuilder  { return b.mem(OpI32Store8, offset) }
-func (b *FuncBuilder) I32Store16(offset uint32) *FuncBuilder { return b.mem(OpI32Store16, offset) }
-func (b *FuncBuilder) V128Store(offset uint32) *FuncBuilder  { return b.mem(OpV128Store, offset) }
+func (b *FuncBuilder) I32Store(offset uint32) *FuncBuilder  { return b.mem(OpI32Store, offset) }
+func (b *FuncBuilder) I64Store(offset uint32) *FuncBuilder  { return b.mem(OpI64Store, offset) }
+func (b *FuncBuilder) F64Store(offset uint32) *FuncBuilder  { return b.mem(OpF64Store, offset) }
+func (b *FuncBuilder) I32Store8(offset uint32) *FuncBuilder { return b.mem(OpI32Store8, offset) }
 
-// Bulk memory and sizing.
-func (b *FuncBuilder) MemSize() *FuncBuilder { return b.Op(OpMemorySize) }
-func (b *FuncBuilder) MemGrow() *FuncBuilder { return b.Op(OpMemoryGrow) }
-func (b *FuncBuilder) MemCopy() *FuncBuilder { return b.Op(OpMemoryCopy) }
+// MemFill fills memory: dst, byte and length (i32) are popped. The
+// sizing ops memory.size and memory.grow have no builder method; they
+// are emitted with Op.
 func (b *FuncBuilder) MemFill() *FuncBuilder { return b.Op(OpMemoryFill) }
 
 // --- i32 ALU ---
 
-func (b *FuncBuilder) I32Eqz() *FuncBuilder    { return b.Op(OpI32Eqz) }
-func (b *FuncBuilder) I32Eq() *FuncBuilder     { return b.Op(OpI32Eq) }
-func (b *FuncBuilder) I32Ne() *FuncBuilder     { return b.Op(OpI32Ne) }
-func (b *FuncBuilder) I32LtS() *FuncBuilder    { return b.Op(OpI32LtS) }
-func (b *FuncBuilder) I32LtU() *FuncBuilder    { return b.Op(OpI32LtU) }
-func (b *FuncBuilder) I32GtS() *FuncBuilder    { return b.Op(OpI32GtS) }
-func (b *FuncBuilder) I32GtU() *FuncBuilder    { return b.Op(OpI32GtU) }
-func (b *FuncBuilder) I32LeS() *FuncBuilder    { return b.Op(OpI32LeS) }
-func (b *FuncBuilder) I32LeU() *FuncBuilder    { return b.Op(OpI32LeU) }
-func (b *FuncBuilder) I32GeS() *FuncBuilder    { return b.Op(OpI32GeS) }
-func (b *FuncBuilder) I32GeU() *FuncBuilder    { return b.Op(OpI32GeU) }
-func (b *FuncBuilder) I32Add() *FuncBuilder    { return b.Op(OpI32Add) }
-func (b *FuncBuilder) I32Sub() *FuncBuilder    { return b.Op(OpI32Sub) }
-func (b *FuncBuilder) I32Mul() *FuncBuilder    { return b.Op(OpI32Mul) }
-func (b *FuncBuilder) I32DivS() *FuncBuilder   { return b.Op(OpI32DivS) }
-func (b *FuncBuilder) I32DivU() *FuncBuilder   { return b.Op(OpI32DivU) }
-func (b *FuncBuilder) I32RemS() *FuncBuilder   { return b.Op(OpI32RemS) }
-func (b *FuncBuilder) I32RemU() *FuncBuilder   { return b.Op(OpI32RemU) }
-func (b *FuncBuilder) I32And() *FuncBuilder    { return b.Op(OpI32And) }
-func (b *FuncBuilder) I32Or() *FuncBuilder     { return b.Op(OpI32Or) }
-func (b *FuncBuilder) I32Xor() *FuncBuilder    { return b.Op(OpI32Xor) }
-func (b *FuncBuilder) I32Shl() *FuncBuilder    { return b.Op(OpI32Shl) }
-func (b *FuncBuilder) I32ShrS() *FuncBuilder   { return b.Op(OpI32ShrS) }
-func (b *FuncBuilder) I32ShrU() *FuncBuilder   { return b.Op(OpI32ShrU) }
-func (b *FuncBuilder) I32Rotl() *FuncBuilder   { return b.Op(OpI32Rotl) }
-func (b *FuncBuilder) I32Rotr() *FuncBuilder   { return b.Op(OpI32Rotr) }
-func (b *FuncBuilder) I32Clz() *FuncBuilder    { return b.Op(OpI32Clz) }
-func (b *FuncBuilder) I32Ctz() *FuncBuilder    { return b.Op(OpI32Ctz) }
-func (b *FuncBuilder) I32Popcnt() *FuncBuilder { return b.Op(OpI32Popcnt) }
+func (b *FuncBuilder) I32Eqz() *FuncBuilder  { return b.Op(OpI32Eqz) }
+func (b *FuncBuilder) I32Eq() *FuncBuilder   { return b.Op(OpI32Eq) }
+func (b *FuncBuilder) I32Ne() *FuncBuilder   { return b.Op(OpI32Ne) }
+func (b *FuncBuilder) I32LtS() *FuncBuilder  { return b.Op(OpI32LtS) }
+func (b *FuncBuilder) I32LtU() *FuncBuilder  { return b.Op(OpI32LtU) }
+func (b *FuncBuilder) I32GtS() *FuncBuilder  { return b.Op(OpI32GtS) }
+func (b *FuncBuilder) I32LeS() *FuncBuilder  { return b.Op(OpI32LeS) }
+func (b *FuncBuilder) I32GeS() *FuncBuilder  { return b.Op(OpI32GeS) }
+func (b *FuncBuilder) I32GeU() *FuncBuilder  { return b.Op(OpI32GeU) }
+func (b *FuncBuilder) I32Add() *FuncBuilder  { return b.Op(OpI32Add) }
+func (b *FuncBuilder) I32Sub() *FuncBuilder  { return b.Op(OpI32Sub) }
+func (b *FuncBuilder) I32Mul() *FuncBuilder  { return b.Op(OpI32Mul) }
+func (b *FuncBuilder) I32DivS() *FuncBuilder { return b.Op(OpI32DivS) }
+func (b *FuncBuilder) I32RemS() *FuncBuilder { return b.Op(OpI32RemS) }
+func (b *FuncBuilder) I32RemU() *FuncBuilder { return b.Op(OpI32RemU) }
+func (b *FuncBuilder) I32And() *FuncBuilder  { return b.Op(OpI32And) }
+func (b *FuncBuilder) I32Or() *FuncBuilder   { return b.Op(OpI32Or) }
+func (b *FuncBuilder) I32Xor() *FuncBuilder  { return b.Op(OpI32Xor) }
+func (b *FuncBuilder) I32Shl() *FuncBuilder  { return b.Op(OpI32Shl) }
+func (b *FuncBuilder) I32ShrS() *FuncBuilder { return b.Op(OpI32ShrS) }
+func (b *FuncBuilder) I32ShrU() *FuncBuilder { return b.Op(OpI32ShrU) }
+func (b *FuncBuilder) I32Rotl() *FuncBuilder { return b.Op(OpI32Rotl) }
 
 // --- i64 ALU ---
 
-func (b *FuncBuilder) I64Eqz() *FuncBuilder    { return b.Op(OpI64Eqz) }
-func (b *FuncBuilder) I64Eq() *FuncBuilder     { return b.Op(OpI64Eq) }
-func (b *FuncBuilder) I64Ne() *FuncBuilder     { return b.Op(OpI64Ne) }
-func (b *FuncBuilder) I64LtS() *FuncBuilder    { return b.Op(OpI64LtS) }
-func (b *FuncBuilder) I64LtU() *FuncBuilder    { return b.Op(OpI64LtU) }
-func (b *FuncBuilder) I64GtS() *FuncBuilder    { return b.Op(OpI64GtS) }
-func (b *FuncBuilder) I64GtU() *FuncBuilder    { return b.Op(OpI64GtU) }
-func (b *FuncBuilder) I64LeS() *FuncBuilder    { return b.Op(OpI64LeS) }
-func (b *FuncBuilder) I64LeU() *FuncBuilder    { return b.Op(OpI64LeU) }
-func (b *FuncBuilder) I64GeS() *FuncBuilder    { return b.Op(OpI64GeS) }
-func (b *FuncBuilder) I64GeU() *FuncBuilder    { return b.Op(OpI64GeU) }
 func (b *FuncBuilder) I64Add() *FuncBuilder    { return b.Op(OpI64Add) }
-func (b *FuncBuilder) I64Sub() *FuncBuilder    { return b.Op(OpI64Sub) }
 func (b *FuncBuilder) I64Mul() *FuncBuilder    { return b.Op(OpI64Mul) }
-func (b *FuncBuilder) I64DivS() *FuncBuilder   { return b.Op(OpI64DivS) }
-func (b *FuncBuilder) I64DivU() *FuncBuilder   { return b.Op(OpI64DivU) }
-func (b *FuncBuilder) I64RemS() *FuncBuilder   { return b.Op(OpI64RemS) }
-func (b *FuncBuilder) I64RemU() *FuncBuilder   { return b.Op(OpI64RemU) }
-func (b *FuncBuilder) I64And() *FuncBuilder    { return b.Op(OpI64And) }
-func (b *FuncBuilder) I64Or() *FuncBuilder     { return b.Op(OpI64Or) }
-func (b *FuncBuilder) I64Xor() *FuncBuilder    { return b.Op(OpI64Xor) }
-func (b *FuncBuilder) I64Shl() *FuncBuilder    { return b.Op(OpI64Shl) }
-func (b *FuncBuilder) I64ShrS() *FuncBuilder   { return b.Op(OpI64ShrS) }
 func (b *FuncBuilder) I64ShrU() *FuncBuilder   { return b.Op(OpI64ShrU) }
-func (b *FuncBuilder) I64Rotl() *FuncBuilder   { return b.Op(OpI64Rotl) }
-func (b *FuncBuilder) I64Rotr() *FuncBuilder   { return b.Op(OpI64Rotr) }
-func (b *FuncBuilder) I64Clz() *FuncBuilder    { return b.Op(OpI64Clz) }
-func (b *FuncBuilder) I64Ctz() *FuncBuilder    { return b.Op(OpI64Ctz) }
 func (b *FuncBuilder) I64Popcnt() *FuncBuilder { return b.Op(OpI64Popcnt) }
 
 // --- f64 ---
 
-func (b *FuncBuilder) F64Eq() *FuncBuilder   { return b.Op(OpF64Eq) }
-func (b *FuncBuilder) F64Ne() *FuncBuilder   { return b.Op(OpF64Ne) }
-func (b *FuncBuilder) F64Lt() *FuncBuilder   { return b.Op(OpF64Lt) }
-func (b *FuncBuilder) F64Gt() *FuncBuilder   { return b.Op(OpF64Gt) }
-func (b *FuncBuilder) F64Le() *FuncBuilder   { return b.Op(OpF64Le) }
-func (b *FuncBuilder) F64Ge() *FuncBuilder   { return b.Op(OpF64Ge) }
-func (b *FuncBuilder) F64Add() *FuncBuilder  { return b.Op(OpF64Add) }
-func (b *FuncBuilder) F64Sub() *FuncBuilder  { return b.Op(OpF64Sub) }
-func (b *FuncBuilder) F64Mul() *FuncBuilder  { return b.Op(OpF64Mul) }
-func (b *FuncBuilder) F64Div() *FuncBuilder  { return b.Op(OpF64Div) }
-func (b *FuncBuilder) F64Sqrt() *FuncBuilder { return b.Op(OpF64Sqrt) }
-func (b *FuncBuilder) F64Abs() *FuncBuilder  { return b.Op(OpF64Abs) }
-func (b *FuncBuilder) F64Neg() *FuncBuilder  { return b.Op(OpF64Neg) }
-func (b *FuncBuilder) F64Min() *FuncBuilder  { return b.Op(OpF64Min) }
-func (b *FuncBuilder) F64Max() *FuncBuilder  { return b.Op(OpF64Max) }
+func (b *FuncBuilder) F64Add() *FuncBuilder { return b.Op(OpF64Add) }
+func (b *FuncBuilder) F64Mul() *FuncBuilder { return b.Op(OpF64Mul) }
+func (b *FuncBuilder) F64Div() *FuncBuilder { return b.Op(OpF64Div) }
+func (b *FuncBuilder) F64Abs() *FuncBuilder { return b.Op(OpF64Abs) }
+func (b *FuncBuilder) F64Min() *FuncBuilder { return b.Op(OpF64Min) }
 
 // --- Conversions ---
 
 func (b *FuncBuilder) I32WrapI64() *FuncBuilder        { return b.Op(OpI32WrapI64) }
-func (b *FuncBuilder) I64ExtendI32S() *FuncBuilder     { return b.Op(OpI64ExtendI32S) }
 func (b *FuncBuilder) I64ExtendI32U() *FuncBuilder     { return b.Op(OpI64ExtendI32U) }
 func (b *FuncBuilder) F64ConvertI32S() *FuncBuilder    { return b.Op(OpF64ConvertI32S) }
-func (b *FuncBuilder) F64ConvertI32U() *FuncBuilder    { return b.Op(OpF64ConvertI32U) }
-func (b *FuncBuilder) F64ConvertI64S() *FuncBuilder    { return b.Op(OpF64ConvertI64S) }
-func (b *FuncBuilder) I32TruncF64S() *FuncBuilder      { return b.Op(OpI32TruncF64S) }
-func (b *FuncBuilder) I64TruncF64S() *FuncBuilder      { return b.Op(OpI64TruncF64S) }
-func (b *FuncBuilder) F64ReinterpretI64() *FuncBuilder { return b.Op(OpF64ReinterpretI64) }
 func (b *FuncBuilder) I64ReinterpretF64() *FuncBuilder { return b.Op(OpI64ReinterpretF64) }
 
 // --- Combinators ---
@@ -397,12 +303,4 @@ func (m *Module) internType(t FuncType) int {
 // index.
 func (m *Module) SigByIndex(i int) FuncType {
 	return m.sigTable[i]
-}
-
-// SigTable returns a copy of the interned signature table, in index
-// order (for serialization).
-func (m *Module) SigTable() []FuncType {
-	out := make([]FuncType, len(m.sigTable))
-	copy(out, m.sigTable)
-	return out
 }

@@ -25,21 +25,19 @@ const maxCallDepth = 2000
 // SFI compilers are differentially tested against. It is deliberately
 // simple and unoptimized.
 type Interp struct {
-	m       *Module
-	Mem     []byte
-	Globals []uint64
-	hosts   []HostFunc
+	m     *Module
+	Mem   []byte
+	hosts []HostFunc
 
 	// StepLimit bounds the total instruction count; 0 means no limit.
 	StepLimit uint64
 	Steps     uint64
 
 	depth int
-	v128  [][2]uint64 // side storage for v128 values (stack holds handles)
 }
 
 // NewInterp instantiates the module: validates (if not yet validated),
-// allocates and initializes linear memory and globals, and binds host
+// allocates and initializes linear memory, and binds host
 // imports by name. Missing host bindings are an error.
 func NewInterp(m *Module, hosts map[string]HostFunc) (*Interp, error) {
 	if !m.validated {
@@ -51,13 +49,6 @@ func NewInterp(m *Module, hosts map[string]HostFunc) (*Interp, error) {
 	for _, seg := range m.Data {
 		copy(ip.Mem[seg.Offset:], seg.Bytes)
 	}
-	for _, g := range m.Globals {
-		v := uint64(g.Init)
-		if g.Type == F64 {
-			v = math.Float64bits(g.InitF)
-		}
-		ip.Globals = append(ip.Globals, v)
-	}
 	for _, imp := range m.Imports {
 		h, ok := hosts[imp.Name]
 		if !ok {
@@ -67,9 +58,6 @@ func NewInterp(m *Module, hosts map[string]HostFunc) (*Interp, error) {
 	}
 	return ip, nil
 }
-
-// Module returns the instantiated module.
-func (ip *Interp) Module() *Module { return ip.m }
 
 // Invoke calls the exported function by name with raw argument values.
 func (ip *Interp) Invoke(name string, args ...uint64) ([]uint64, error) {
@@ -180,10 +168,6 @@ func (ip *Interp) exec(f *Func, args []uint64) ([]uint64, error) {
 		}
 		in := body[pc]
 		switch in.Op {
-		case OpNop:
-		case OpUnreachable:
-			return nil, &Trap{Kind: TrapUnreachable}
-
 		case OpBlock, OpLoop:
 			ci := f.ctrl[pc]
 			arity := 0
@@ -231,11 +215,6 @@ func (ip *Interp) exec(f *Func, args []uint64) ([]uint64, error) {
 			}
 			pc = branchTo(int(d), pc)
 			continue
-		case OpReturn:
-			n := len(f.Type.Results)
-			res := make([]uint64, n)
-			copy(res, stack[len(stack)-n:])
-			return res, nil
 
 		case OpCall:
 			if err := ip.doCall(uint32(in.Imm), &stack); err != nil {
@@ -262,28 +241,12 @@ func (ip *Interp) exec(f *Func, args []uint64) ([]uint64, error) {
 				return nil, err
 			}
 
-		case OpDrop:
-			pop()
-		case OpSelect:
-			c := pop()
-			b := pop()
-			a := pop()
-			if c != 0 {
-				push(a)
-			} else {
-				push(b)
-			}
-
 		case OpLocalGet:
 			push(locals[in.Imm])
 		case OpLocalSet:
 			locals[in.Imm] = pop()
 		case OpLocalTee:
 			locals[in.Imm] = stack[len(stack)-1]
-		case OpGlobalGet:
-			push(ip.Globals[in.Imm])
-		case OpGlobalSet:
-			ip.Globals[in.Imm] = pop()
 
 		case OpI32Const:
 			push(uint64(uint32(in.Imm)))
@@ -292,14 +255,14 @@ func (ip *Interp) exec(f *Func, args []uint64) ([]uint64, error) {
 		case OpF64Const:
 			pushF(in.Fimm)
 
-		case OpI32Load, OpI64Load, OpF64Load, OpI32Load8U, OpI32Load8S, OpI32Load16U, OpV128Load:
+		case OpI32Load, OpI64Load, OpF64Load, OpI32Load8U, OpI32Load16U:
 			addr := uint32(pop())
 			v, err := ip.load(in.Op, addr, in.Offset)
 			if err != nil {
 				return nil, err
 			}
 			push(v)
-		case OpI32Store, OpI64Store, OpF64Store, OpI32Store8, OpI32Store16, OpV128Store:
+		case OpI32Store, OpI64Store, OpF64Store, OpI32Store8:
 			val := pop()
 			addr := uint32(pop())
 			if err := ip.store(in.Op, addr, in.Offset, val); err != nil {
@@ -317,14 +280,6 @@ func (ip *Interp) exec(f *Func, args []uint64) ([]uint64, error) {
 				ip.Mem = append(ip.Mem, make([]byte, int(delta)*PageSize)...)
 				push(uint64(old))
 			}
-		case OpMemoryCopy:
-			n := uint32(pop())
-			src := uint32(pop())
-			dst := uint32(pop())
-			if uint64(src)+uint64(n) > uint64(len(ip.Mem)) || uint64(dst)+uint64(n) > uint64(len(ip.Mem)) {
-				return nil, &Trap{Kind: TrapOOB, Addr: uint64(max32(src, dst)) + uint64(n)}
-			}
-			copy(ip.Mem[dst:dst+n], ip.Mem[src:src+n])
 		case OpMemoryFill:
 			n := uint32(pop())
 			val := byte(pop())
@@ -339,7 +294,7 @@ func (ip *Interp) exec(f *Func, args []uint64) ([]uint64, error) {
 		// --- i32 ---
 		case OpI32Eqz:
 			pushB(uint32(pop()) == 0)
-		case OpI32Eq, OpI32Ne, OpI32LtS, OpI32LtU, OpI32GtS, OpI32GtU, OpI32LeS, OpI32LeU, OpI32GeS, OpI32GeU:
+		case OpI32Eq, OpI32Ne, OpI32LtS, OpI32LtU, OpI32GtS, OpI32LeS, OpI32GeS, OpI32GeU:
 			b32 := uint32(pop())
 			a32 := uint32(pop())
 			pushB(cmp32(in.Op, a32, b32))
@@ -361,12 +316,6 @@ func (ip *Interp) exec(f *Func, args []uint64) ([]uint64, error) {
 				return nil, &Trap{Kind: TrapIntOverflow}
 			}
 			push(uint64(uint32(a32 / b32)))
-		case OpI32DivU:
-			b32, a32 := uint32(pop()), uint32(pop())
-			if b32 == 0 {
-				return nil, &Trap{Kind: TrapDivByZero}
-			}
-			push(uint64(a32 / b32))
 		case OpI32RemS:
 			b32, a32 := int32(pop()), int32(pop())
 			if b32 == 0 {
@@ -401,168 +350,44 @@ func (ip *Interp) exec(f *Func, args []uint64) ([]uint64, error) {
 		case OpI32Rotl:
 			b32, a32 := uint32(pop()), uint32(pop())
 			push(uint64(bits.RotateLeft32(a32, int(b32&31))))
-		case OpI32Rotr:
-			b32, a32 := uint32(pop()), uint32(pop())
-			push(uint64(bits.RotateLeft32(a32, -int(b32&31))))
-		case OpI32Clz:
-			push(uint64(bits.LeadingZeros32(uint32(pop()))))
-		case OpI32Ctz:
-			push(uint64(bits.TrailingZeros32(uint32(pop()))))
-		case OpI32Popcnt:
-			push(uint64(bits.OnesCount32(uint32(pop()))))
 
 		// --- i64 ---
-		case OpI64Eqz:
-			pushB(pop() == 0)
-		case OpI64Eq, OpI64Ne, OpI64LtS, OpI64LtU, OpI64GtS, OpI64GtU, OpI64LeS, OpI64LeU, OpI64GeS, OpI64GeU:
-			b64 := pop()
-			a64 := pop()
-			pushB(cmp64(in.Op, a64, b64))
 		case OpI64Add:
 			b64, a64 := pop(), pop()
 			push(a64 + b64)
-		case OpI64Sub:
-			b64, a64 := pop(), pop()
-			push(a64 - b64)
 		case OpI64Mul:
 			b64, a64 := pop(), pop()
 			push(a64 * b64)
-		case OpI64DivS:
-			b64, a64 := int64(pop()), int64(pop())
-			if b64 == 0 {
-				return nil, &Trap{Kind: TrapDivByZero}
-			}
-			if a64 == math.MinInt64 && b64 == -1 {
-				return nil, &Trap{Kind: TrapIntOverflow}
-			}
-			push(uint64(a64 / b64))
-		case OpI64DivU:
-			b64, a64 := pop(), pop()
-			if b64 == 0 {
-				return nil, &Trap{Kind: TrapDivByZero}
-			}
-			push(a64 / b64)
-		case OpI64RemS:
-			b64, a64 := int64(pop()), int64(pop())
-			if b64 == 0 {
-				return nil, &Trap{Kind: TrapDivByZero}
-			}
-			if a64 == math.MinInt64 && b64 == -1 {
-				push(0)
-			} else {
-				push(uint64(a64 % b64))
-			}
-		case OpI64RemU:
-			b64, a64 := pop(), pop()
-			if b64 == 0 {
-				return nil, &Trap{Kind: TrapDivByZero}
-			}
-			push(a64 % b64)
-		case OpI64And:
-			push(pop() & pop())
-		case OpI64Or:
-			push(pop() | pop())
-		case OpI64Xor:
-			push(pop() ^ pop())
-		case OpI64Shl:
-			b64, a64 := pop(), pop()
-			push(a64 << (b64 & 63))
-		case OpI64ShrS:
-			b64, a64 := pop(), int64(pop())
-			push(uint64(a64 >> (b64 & 63)))
 		case OpI64ShrU:
 			b64, a64 := pop(), pop()
 			push(a64 >> (b64 & 63))
-		case OpI64Rotl:
-			b64, a64 := pop(), pop()
-			push(bits.RotateLeft64(a64, int(b64&63)))
-		case OpI64Rotr:
-			b64, a64 := pop(), pop()
-			push(bits.RotateLeft64(a64, -int(b64&63)))
-		case OpI64Clz:
-			push(uint64(bits.LeadingZeros64(pop())))
-		case OpI64Ctz:
-			push(uint64(bits.TrailingZeros64(pop())))
 		case OpI64Popcnt:
 			push(uint64(bits.OnesCount64(pop())))
 
 		// --- f64 ---
-		case OpF64Eq:
-			pushB(popF() == popF())
-		case OpF64Ne:
-			b, a := popF(), popF()
-			pushB(a != b)
-		case OpF64Lt:
-			b, a := popF(), popF()
-			pushB(a < b)
-		case OpF64Gt:
-			b, a := popF(), popF()
-			pushB(a > b)
-		case OpF64Le:
-			b, a := popF(), popF()
-			pushB(a <= b)
-		case OpF64Ge:
-			b, a := popF(), popF()
-			pushB(a >= b)
 		case OpF64Add:
 			b, a := popF(), popF()
 			pushF(a + b)
-		case OpF64Sub:
-			b, a := popF(), popF()
-			pushF(a - b)
 		case OpF64Mul:
 			b, a := popF(), popF()
 			pushF(a * b)
 		case OpF64Div:
 			b, a := popF(), popF()
 			pushF(a / b)
-		case OpF64Sqrt:
-			pushF(math.Sqrt(popF()))
 		case OpF64Abs:
 			pushF(math.Abs(popF()))
-		case OpF64Neg:
-			pushF(-popF())
 		case OpF64Min:
 			b, a := popF(), popF()
 			pushF(math.Min(a, b))
-		case OpF64Max:
-			b, a := popF(), popF()
-			pushF(math.Max(a, b))
 
 		// --- conversions ---
 		case OpI32WrapI64:
 			push(uint64(uint32(pop())))
-		case OpI64ExtendI32S:
-			push(uint64(int64(int32(pop()))))
 		case OpI64ExtendI32U:
 			push(uint64(uint32(pop())))
 		case OpF64ConvertI32S:
 			pushF(float64(int32(pop())))
-		case OpF64ConvertI32U:
-			pushF(float64(uint32(pop())))
-		case OpF64ConvertI64S:
-			pushF(float64(int64(pop())))
-		case OpI32TruncF64S:
-			v := popF()
-			if math.IsNaN(v) {
-				return nil, &Trap{Kind: TrapIntOverflow}
-			}
-			t := math.Trunc(v)
-			if t < math.MinInt32 || t > math.MaxInt32 {
-				return nil, &Trap{Kind: TrapIntOverflow}
-			}
-			push(uint64(uint32(int32(t))))
-		case OpI64TruncF64S:
-			v := popF()
-			if math.IsNaN(v) {
-				return nil, &Trap{Kind: TrapIntOverflow}
-			}
-			t := math.Trunc(v)
-			if t < -9.223372036854776e18 || t >= 9.223372036854776e18 {
-				return nil, &Trap{Kind: TrapIntOverflow}
-			}
-			push(uint64(int64(t)))
-		case OpF64ReinterpretI64, OpI64ReinterpretF64:
+		case OpI64ReinterpretF64:
 			// Raw bits already; no-op on our representation.
 
 		default:
@@ -605,20 +430,12 @@ func (ip *Interp) load(op Op, addr uint32, offset uint32) (uint64, error) {
 	switch op {
 	case OpI32Load8U:
 		return uint64(ip.Mem[ea]), nil
-	case OpI32Load8S:
-		return uint64(uint32(int32(int8(ip.Mem[ea])))), nil
 	case OpI32Load16U:
 		return uint64(binary.LittleEndian.Uint16(ip.Mem[ea:])), nil
 	case OpI32Load:
 		return uint64(binary.LittleEndian.Uint32(ip.Mem[ea:])), nil
 	case OpI64Load, OpF64Load:
 		return binary.LittleEndian.Uint64(ip.Mem[ea:]), nil
-	case OpV128Load:
-		ip.v128 = append(ip.v128, [2]uint64{
-			binary.LittleEndian.Uint64(ip.Mem[ea:]),
-			binary.LittleEndian.Uint64(ip.Mem[ea+8:]),
-		})
-		return uint64(len(ip.v128) - 1), nil
 	default:
 		return 0, fmt.Errorf("ir: bad load op %v", op)
 	}
@@ -633,16 +450,10 @@ func (ip *Interp) store(op Op, addr uint32, offset uint32, val uint64) error {
 	switch op {
 	case OpI32Store8:
 		ip.Mem[ea] = byte(val)
-	case OpI32Store16:
-		binary.LittleEndian.PutUint16(ip.Mem[ea:], uint16(val))
 	case OpI32Store:
 		binary.LittleEndian.PutUint32(ip.Mem[ea:], uint32(val))
 	case OpI64Store, OpF64Store:
 		binary.LittleEndian.PutUint64(ip.Mem[ea:], val)
-	case OpV128Store:
-		v := ip.v128[val]
-		binary.LittleEndian.PutUint64(ip.Mem[ea:], v[0])
-		binary.LittleEndian.PutUint64(ip.Mem[ea+8:], v[1])
 	default:
 		return fmt.Errorf("ir: bad store op %v", op)
 	}
@@ -661,47 +472,11 @@ func cmp32(op Op, a, b uint32) bool {
 		return a < b
 	case OpI32GtS:
 		return int32(a) > int32(b)
-	case OpI32GtU:
-		return a > b
 	case OpI32LeS:
 		return int32(a) <= int32(b)
-	case OpI32LeU:
-		return a <= b
 	case OpI32GeS:
 		return int32(a) >= int32(b)
 	default:
 		return a >= b
 	}
-}
-
-func cmp64(op Op, a, b uint64) bool {
-	switch op {
-	case OpI64Eq:
-		return a == b
-	case OpI64Ne:
-		return a != b
-	case OpI64LtS:
-		return int64(a) < int64(b)
-	case OpI64LtU:
-		return a < b
-	case OpI64GtS:
-		return int64(a) > int64(b)
-	case OpI64GtU:
-		return a > b
-	case OpI64LeS:
-		return int64(a) <= int64(b)
-	case OpI64LeU:
-		return a <= b
-	case OpI64GeS:
-		return int64(a) >= int64(b)
-	default:
-		return a >= b
-	}
-}
-
-func max32(a, b uint32) uint32 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -90,18 +90,21 @@ func TestIfElse(t *testing.T) {
 func TestBrTable(t *testing.T) {
 	// classify(x): 0 -> 10, 1 -> 20, else -> 30
 	m := NewModule("bt", 1, 1)
-	fb := m.NewFunc("classify", Sig([]ValType{I32}, []ValType{I32}))
+	fb := m.NewFunc("classify", Sig([]ValType{I32}, []ValType{I32}), I32)
+	fb.Block() // depth 3 from the br_table: the result
 	fb.Block() // depth 2 (default)
 	fb.Block() // depth 1
 	fb.Block() // depth 0
 	fb.Get(0)
 	fb.BrTable([]uint32{0, 1}, 2)
 	fb.End()
-	fb.I32(10).Return()
+	fb.I32(10).Set(1).Br(2)
 	fb.End()
-	fb.I32(20).Return()
+	fb.I32(20).Set(1).Br(1)
 	fb.End()
-	fb.I32(30)
+	fb.I32(30).Set(1)
+	fb.End()
+	fb.Get(1)
 	fb.MustBuild()
 	m.MustExport("classify")
 	if err := m.Validate(); err != nil {
@@ -174,7 +177,7 @@ func TestMemoryOps(t *testing.T) {
 	wb.Get(0).Get(1).I32Store(0)
 	wb.MustBuild()
 	g := m.NewFunc("grow", Sig(nil, []ValType{I32}))
-	g.I32(1).MemGrow()
+	g.I32(1).Op(OpMemoryGrow)
 	g.MustBuild()
 	m.MustExport("rd")
 	m.MustExport("wr")
@@ -282,8 +285,8 @@ func TestValidateRejects(t *testing.T) {
 			fb.MustBuild()
 		}},
 		{"bad local", func(m *Module) {
-			fb := m.NewFunc("f", Sig(nil, nil))
-			fb.Get(3).Drop()
+			fb := m.NewFunc("f", Sig(nil, []ValType{I32}))
+			fb.Get(3)
 			fb.MustBuild()
 		}},
 		{"bad branch depth", func(m *Module) {
@@ -297,12 +300,6 @@ func TestValidateRejects(t *testing.T) {
 			fb.If(I32)
 			fb.I32(2)
 			fb.End()
-			fb.MustBuild()
-		}},
-		{"set immutable global", func(m *Module) {
-			m.AddGlobal(I32, false, 7)
-			fb := m.NewFunc("f", Sig(nil, nil))
-			fb.I32(1).GSet(0)
 			fb.MustBuild()
 		}},
 		{"extra values at end", func(m *Module) {
@@ -339,26 +336,6 @@ func TestValidateAcceptsDeadCode(t *testing.T) {
 	}
 }
 
-func TestGlobals(t *testing.T) {
-	m := NewModule("glob", 1, 1)
-	g := m.AddGlobal(I64, true, 100)
-	fb := m.NewFunc("bump", Sig(nil, []ValType{I64}))
-	fb.GGet(g).I64(1).I64Add().GSet(g)
-	fb.GGet(g)
-	fb.MustBuild()
-	m.MustExport("bump")
-	if err := m.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	ip, _ := NewInterp(m, nil)
-	for want := uint64(101); want <= 103; want++ {
-		res, err := ip.Invoke("bump")
-		if err != nil || res[0] != want {
-			t.Fatalf("bump = %v, %v; want %d", res, err, want)
-		}
-	}
-}
-
 func TestStepLimit(t *testing.T) {
 	m := NewModule("spin", 1, 1)
 	fb := m.NewFunc("spin", Sig(nil, nil))
@@ -384,8 +361,8 @@ func TestRecursionFib(t *testing.T) {
 	fb.If(I32)
 	fb.Get(0)
 	fb.Else()
-	fb.Get(0).I32(1).I32Sub().Call(fb.Index())
-	fb.Get(0).I32(2).I32Sub().Call(fb.Index())
+	fb.Get(0).I32(1).I32Sub().CallNamed("fib")
+	fb.Get(0).I32(2).I32Sub().CallNamed("fib")
 	fb.I32Add()
 	fb.End()
 	fb.MustBuild()
@@ -401,7 +378,7 @@ func TestRecursionFib(t *testing.T) {
 func TestStackExhaustion(t *testing.T) {
 	m := NewModule("rec", 1, 1)
 	fb := m.NewFunc("rec", Sig([]ValType{I32}, []ValType{I32}))
-	fb.Get(0).I32(1).I32Add().Call(fb.Index())
+	fb.Get(0).I32(1).I32Add().CallNamed("rec")
 	fb.MustBuild()
 	m.MustExport("rec")
 	if err := m.Validate(); err != nil {
@@ -453,19 +430,15 @@ func TestI32ArithQuick(t *testing.T) {
 	}
 }
 
-func TestMemCopyFill(t *testing.T) {
+func TestMemFill(t *testing.T) {
 	m := NewModule("bulk", 1, 1)
 	f1 := m.NewFunc("fill", Sig([]ValType{I32, I32, I32}, nil))
 	f1.Get(0).Get(1).Get(2).MemFill()
 	f1.MustBuild()
-	f2 := m.NewFunc("copy", Sig([]ValType{I32, I32, I32}, nil))
-	f2.Get(0).Get(1).Get(2).MemCopy()
-	f2.MustBuild()
 	rd := m.NewFunc("rd", Sig([]ValType{I32}, []ValType{I32}))
 	rd.Get(0).I32Load8U(0)
 	rd.MustBuild()
 	m.MustExport("fill")
-	m.MustExport("copy")
 	m.MustExport("rd")
 	if err := m.Validate(); err != nil {
 		t.Fatal(err)
@@ -474,20 +447,16 @@ func TestMemCopyFill(t *testing.T) {
 	if _, err := ip.Invoke("fill", 10, 0xAB, 4); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ip.Invoke("copy", 100, 10, 4); err != nil {
-		t.Fatal(err)
+	for addr, want := range map[uint64]uint64{9: 0, 10: 0xAB, 13: 0xAB, 14: 0} {
+		if res, _ := ip.Invoke("rd", addr); res[0] != want {
+			t.Fatalf("rd(%d) = %#x, want %#x", addr, res[0], want)
+		}
 	}
-	res, _ := ip.Invoke("rd", 103)
-	if res[0] != 0xAB {
-		t.Fatalf("rd(103) = %#x", res[0])
-	}
-	// Overlapping copy behaves like memmove.
-	if _, err := ip.Invoke("copy", 11, 10, 4); err != nil {
-		t.Fatal(err)
-	}
-	res, _ = ip.Invoke("rd", 14)
-	if res[0] != 0xAB {
-		t.Fatalf("overlap rd(14) = %#x", res[0])
+	// A fill that runs past the end of memory traps.
+	_, err := ip.Invoke("fill", uint64(PageSize-2), 1, 4)
+	var trap *Trap
+	if !errors.As(err, &trap) || trap.Kind != TrapOOB {
+		t.Fatalf("oob fill err = %v", err)
 	}
 }
 
@@ -519,17 +488,20 @@ func TestWhileCombinator(t *testing.T) {
 
 func TestF64(t *testing.T) {
 	m := NewModule("f64", 1, 1)
-	fb := m.NewFunc("hyp", Sig([]ValType{F64, F64}, []ValType{F64}))
-	fb.Get(0).Get(0).F64Mul()
-	fb.Get(1).Get(1).F64Mul()
-	fb.F64Add().F64Sqrt()
+	// f(a, b) = min(|a|*|a|, b) / 2 + 1.5
+	fb := m.NewFunc("f", Sig([]ValType{F64, F64}, []ValType{F64}))
+	fb.Get(0).F64Abs().Get(0).F64Abs().F64Mul()
+	fb.Get(1).F64Min()
+	fb.F64(2).F64Div().F64(1.5).F64Add()
 	fb.MustBuild()
-	m.MustExport("hyp")
+	m.MustExport("f")
 	if err := m.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	res := run(t, m, "hyp", math.Float64bits(3), math.Float64bits(4))
-	if got := math.Float64frombits(res[0]); got != 5 {
-		t.Fatalf("hyp(3,4) = %g", got)
+	for _, c := range []struct{ a, b, want float64 }{{-3, 100, 6}, {3, 4, 3.5}} {
+		res := run(t, m, "f", math.Float64bits(c.a), math.Float64bits(c.b))
+		if got := math.Float64frombits(res[0]); got != c.want {
+			t.Fatalf("f(%g,%g) = %g, want %g", c.a, c.b, got, c.want)
+		}
 	}
 }

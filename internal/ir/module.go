@@ -9,14 +9,6 @@ type Import struct {
 	Type FuncType
 }
 
-// Global is a module global variable.
-type Global struct {
-	Type    ValType
-	Mutable bool
-	Init    int64   // raw bits for I32/I64
-	InitF   float64 // for F64
-}
-
 // DataSeg initializes a region of linear memory at instantiation.
 type DataSeg struct {
 	Offset uint32
@@ -52,13 +44,12 @@ func (f *Func) LocalType(i int) ValType {
 	return f.Locals[i-len(f.Type.Params)]
 }
 
-// Module is a compilation unit: imports, functions, globals, one linear
-// memory, a function table for call_indirect, and data segments.
+// Module is a compilation unit: imports, functions, one linear memory,
+// a function table for call_indirect, and data segments.
 type Module struct {
 	Name    string
 	Imports []Import
 	Funcs   []*Func
-	Globals []Global
 
 	// MemMin and MemMax are the linear memory limits in 64 KiB pages.
 	MemMin, MemMax uint32
@@ -126,12 +117,6 @@ func (m *Module) TypeOf(idx uint32) (FuncType, error) {
 func (m *Module) AddImport(name string, t FuncType) uint32 {
 	m.Imports = append(m.Imports, Import{Name: name, Type: t})
 	return uint32(len(m.Imports) - 1)
-}
-
-// AddGlobal appends a global and returns its index.
-func (m *Module) AddGlobal(t ValType, mutable bool, init int64) uint32 {
-	m.Globals = append(m.Globals, Global{Type: t, Mutable: mutable, Init: init})
-	return uint32(len(m.Globals) - 1)
 }
 
 // AddData appends a data segment.

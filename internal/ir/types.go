@@ -3,10 +3,11 @@
 // with a builder API, a structural validator, and a reference interpreter.
 //
 // The IR is a structured stack machine modeled on core Wasm: i32/i64/f64
-// value types (plus v128 moves for the bulk/vectorized paths), linear
-// memory addressed by a 32-bit index plus a static offset, structured
-// control (block/loop/if with relative branch depths), direct and
-// indirect calls, and host imports. The SFI compilers in internal/sfi
+// value types, linear memory addressed by a 32-bit index plus a static
+// offset, structured control (block/loop/if with relative branch
+// depths), direct and indirect calls, and host imports. Its opcodes are
+// the ones the benchmark kernels emit plus memory.size/memory.grow,
+// measured by the op census test in internal/exp. The SFI compilers in internal/sfi
 // lower this IR to the x86 model; the interpreter provides the semantics
 // they are differentially tested against.
 package ir
@@ -21,7 +22,6 @@ const (
 	I32 ValType = iota
 	I64
 	F64
-	V128
 )
 
 // String returns the Wasm-style type name.
@@ -33,8 +33,6 @@ func (t ValType) String() string {
 		return "i64"
 	case F64:
 		return "f64"
-	case V128:
-		return "v128"
 	default:
 		return fmt.Sprintf("valtype(%d)", uint8(t))
 	}
@@ -91,53 +89,40 @@ func (f FuncType) String() string {
 // Op is an IR opcode.
 type Op uint8
 
-// Opcodes. Ordering groups related operations; the compiler and
-// interpreter switch on these.
+// Opcodes: the instruction surface the benchmark kernels use, as the op
+// census test in internal/exp measures it. Ordering groups related
+// operations; the compiler and interpreter switch on these.
 const (
-	OpUnreachable Op = iota
-	OpNop
-
 	// Structured control. Block/Loop/If regions are closed by OpEnd;
 	// OpElse separates the arms of an if.
-	OpBlock
+	OpBlock Op = iota
 	OpLoop
 	OpIf
 	OpElse
 	OpEnd
-	OpBr      // Imm = relative depth
-	OpBrIf    // Imm = relative depth
-	OpBrTable // Targets = depths, Imm = default depth
-	OpReturn
+	OpBr           // Imm = relative depth
+	OpBrIf         // Imm = relative depth
+	OpBrTable      // Targets = depths, Imm = default depth
 	OpCall         // Imm = function index (imports first)
 	OpCallIndirect // Imm = type index; callee table slot from stack
 
-	OpDrop
-	OpSelect
-
-	OpLocalGet  // Imm = local index
-	OpLocalSet  // Imm = local index
-	OpLocalTee  // Imm = local index
-	OpGlobalGet // Imm = global index
-	OpGlobalSet // Imm = global index
+	OpLocalGet // Imm = local index
+	OpLocalSet // Imm = local index
+	OpLocalTee // Imm = local index
 
 	// Memory access: address (i32) from the stack, plus static Offset.
 	OpI32Load
 	OpI64Load
 	OpF64Load
 	OpI32Load8U
-	OpI32Load8S
 	OpI32Load16U
-	OpV128Load
 	OpI32Store
 	OpI64Store
 	OpF64Store
 	OpI32Store8
-	OpI32Store16
-	OpV128Store
 
 	OpMemorySize
 	OpMemoryGrow
-	OpMemoryCopy // dst, src, len (i32) from stack
 	OpMemoryFill // dst, byte, len (i32) from stack
 
 	OpI32Const // Imm
@@ -151,9 +136,7 @@ const (
 	OpI32LtS
 	OpI32LtU
 	OpI32GtS
-	OpI32GtU
 	OpI32LeS
-	OpI32LeU
 	OpI32GeS
 	OpI32GeU
 
@@ -162,7 +145,6 @@ const (
 	OpI32Sub
 	OpI32Mul
 	OpI32DivS
-	OpI32DivU
 	OpI32RemS
 	OpI32RemU
 	OpI32And
@@ -172,126 +154,59 @@ const (
 	OpI32ShrS
 	OpI32ShrU
 	OpI32Rotl
-	OpI32Rotr
-	OpI32Clz
-	OpI32Ctz
-	OpI32Popcnt
-
-	// i64 comparisons.
-	OpI64Eqz
-	OpI64Eq
-	OpI64Ne
-	OpI64LtS
-	OpI64LtU
-	OpI64GtS
-	OpI64GtU
-	OpI64LeS
-	OpI64LeU
-	OpI64GeS
-	OpI64GeU
 
 	// i64 arithmetic.
 	OpI64Add
-	OpI64Sub
 	OpI64Mul
-	OpI64DivS
-	OpI64DivU
-	OpI64RemS
-	OpI64RemU
-	OpI64And
-	OpI64Or
-	OpI64Xor
-	OpI64Shl
-	OpI64ShrS
 	OpI64ShrU
-	OpI64Rotl
-	OpI64Rotr
-	OpI64Clz
-	OpI64Ctz
 	OpI64Popcnt
-
-	// f64 comparisons.
-	OpF64Eq
-	OpF64Ne
-	OpF64Lt
-	OpF64Gt
-	OpF64Le
-	OpF64Ge
 
 	// f64 arithmetic.
 	OpF64Add
-	OpF64Sub
 	OpF64Mul
 	OpF64Div
-	OpF64Sqrt
 	OpF64Abs
-	OpF64Neg
 	OpF64Min
-	OpF64Max
 
 	// Conversions.
 	OpI32WrapI64
-	OpI64ExtendI32S
 	OpI64ExtendI32U
 	OpF64ConvertI32S
-	OpF64ConvertI32U
-	OpF64ConvertI64S
-	OpI32TruncF64S
-	OpI64TruncF64S
-	OpF64ReinterpretI64
 	OpI64ReinterpretF64
 
 	opCount
 )
 
-var opNames = map[Op]string{
-	OpUnreachable: "unreachable", OpNop: "nop", OpBlock: "block", OpLoop: "loop",
-	OpIf: "if", OpElse: "else", OpEnd: "end", OpBr: "br", OpBrIf: "br_if",
-	OpBrTable: "br_table", OpReturn: "return", OpCall: "call",
-	OpCallIndirect: "call_indirect", OpDrop: "drop", OpSelect: "select",
-	OpLocalGet: "local.get", OpLocalSet: "local.set", OpLocalTee: "local.tee",
-	OpGlobalGet: "global.get", OpGlobalSet: "global.set",
+var opNames = [opCount]string{
+	OpBlock: "block", OpLoop: "loop", OpIf: "if", OpElse: "else", OpEnd: "end",
+	OpBr: "br", OpBrIf: "br_if", OpBrTable: "br_table", OpCall: "call",
+	OpCallIndirect: "call_indirect",
+	OpLocalGet:     "local.get", OpLocalSet: "local.set", OpLocalTee: "local.tee",
 	OpI32Load: "i32.load", OpI64Load: "i64.load", OpF64Load: "f64.load",
-	OpI32Load8U: "i32.load8_u", OpI32Load8S: "i32.load8_s", OpI32Load16U: "i32.load16_u",
-	OpV128Load: "v128.load", OpI32Store: "i32.store", OpI64Store: "i64.store",
-	OpF64Store: "f64.store", OpI32Store8: "i32.store8", OpI32Store16: "i32.store16",
-	OpV128Store: "v128.store", OpMemorySize: "memory.size", OpMemoryGrow: "memory.grow",
-	OpMemoryCopy: "memory.copy", OpMemoryFill: "memory.fill",
+	OpI32Load8U: "i32.load8_u", OpI32Load16U: "i32.load16_u",
+	OpI32Store: "i32.store", OpI64Store: "i64.store", OpF64Store: "f64.store",
+	OpI32Store8:  "i32.store8",
+	OpMemorySize: "memory.size", OpMemoryGrow: "memory.grow", OpMemoryFill: "memory.fill",
 	OpI32Const: "i32.const", OpI64Const: "i64.const", OpF64Const: "f64.const",
+	OpI32Eqz: "i32.eqz", OpI32Eq: "i32.eq", OpI32Ne: "i32.ne", OpI32LtS: "i32.lt_s",
+	OpI32LtU: "i32.lt_u", OpI32GtS: "i32.gt_s", OpI32LeS: "i32.le_s",
+	OpI32GeS: "i32.ge_s", OpI32GeU: "i32.ge_u",
+	OpI32Add: "i32.add", OpI32Sub: "i32.sub", OpI32Mul: "i32.mul",
+	OpI32DivS: "i32.div_s", OpI32RemS: "i32.rem_s", OpI32RemU: "i32.rem_u",
+	OpI32And: "i32.and", OpI32Or: "i32.or", OpI32Xor: "i32.xor", OpI32Shl: "i32.shl",
+	OpI32ShrS: "i32.shr_s", OpI32ShrU: "i32.shr_u", OpI32Rotl: "i32.rotl",
+	OpI64Add: "i64.add", OpI64Mul: "i64.mul", OpI64ShrU: "i64.shr_u",
+	OpI64Popcnt: "i64.popcnt",
+	OpF64Add:    "f64.add", OpF64Mul: "f64.mul", OpF64Div: "f64.div",
+	OpF64Abs: "f64.abs", OpF64Min: "f64.min",
+	OpI32WrapI64: "i32.wrap_i64", OpI64ExtendI32U: "i64.extend_i32_u",
+	OpF64ConvertI32S: "f64.convert_i32_s", OpI64ReinterpretF64: "i64.reinterpret_f64",
 }
 
 // String returns the Wasm-style mnemonic for the opcode.
 func (o Op) String() string {
-	if s, ok := opNames[o]; ok {
-		return s
-	}
-	// Derive names for the regular ALU groups.
-	type rng struct {
-		lo, hi Op
-		prefix string
-		names  []string
-	}
-	cmpNames := []string{"eqz", "eq", "ne", "lt_s", "lt_u", "gt_s", "gt_u", "le_s", "le_u", "ge_s", "ge_u"}
-	arithNames := []string{"add", "sub", "mul", "div_s", "div_u", "rem_s", "rem_u", "and", "or", "xor", "shl", "shr_s", "shr_u", "rotl", "rotr", "clz", "ctz", "popcnt"}
-	f64Cmp := []string{"eq", "ne", "lt", "gt", "le", "ge"}
-	f64Arith := []string{"add", "sub", "mul", "div", "sqrt", "abs", "neg", "min", "max"}
-	convNames := []string{"i32.wrap_i64", "i64.extend_i32_s", "i64.extend_i32_u",
-		"f64.convert_i32_s", "f64.convert_i32_u", "f64.convert_i64_s",
-		"i32.trunc_f64_s", "i64.trunc_f64_s", "f64.reinterpret_i64", "i64.reinterpret_f64"}
-	for _, r := range []rng{
-		{OpI32Eqz, OpI32GeU, "i32.", cmpNames},
-		{OpI32Add, OpI32Popcnt, "i32.", arithNames},
-		{OpI64Eqz, OpI64GeU, "i64.", cmpNames},
-		{OpI64Add, OpI64Popcnt, "i64.", arithNames},
-		{OpF64Eq, OpF64Ge, "f64.", f64Cmp},
-		{OpF64Add, OpF64Max, "f64.", f64Arith},
-	} {
-		if o >= r.lo && o <= r.hi {
-			return r.prefix + r.names[o-r.lo]
-		}
-	}
-	if o >= OpI32WrapI64 && o <= OpI64ReinterpretF64 {
-		return convNames[o-OpI32WrapI64]
+	if o < opCount {
+		return opNames[o]
 	}
 	return fmt.Sprintf("op(%d)", uint8(o))
 }
@@ -320,12 +235,12 @@ func (i Inst) String() string {
 		return fmt.Sprintf("%s %d", i.Op, i.Imm)
 	case OpF64Const:
 		return fmt.Sprintf("%s %g", i.Op, i.Fimm)
-	case OpBr, OpBrIf, OpCall, OpCallIndirect, OpLocalGet, OpLocalSet, OpLocalTee, OpGlobalGet, OpGlobalSet:
+	case OpBr, OpBrIf, OpCall, OpCallIndirect, OpLocalGet, OpLocalSet, OpLocalTee:
 		return fmt.Sprintf("%s %d", i.Op, i.Imm)
 	case OpBrTable:
 		return fmt.Sprintf("%s %v default=%d", i.Op, i.Targets, i.Imm)
-	case OpI32Load, OpI64Load, OpF64Load, OpI32Load8U, OpI32Load8S, OpI32Load16U,
-		OpV128Load, OpI32Store, OpI64Store, OpF64Store, OpI32Store8, OpI32Store16, OpV128Store:
+	case OpI32Load, OpI64Load, OpF64Load, OpI32Load8U, OpI32Load16U,
+		OpI32Store, OpI64Store, OpF64Store, OpI32Store8:
 		return fmt.Sprintf("%s offset=%d", i.Op, i.Offset)
 	default:
 		return i.Op.String()
@@ -333,25 +248,23 @@ func (i Inst) String() string {
 }
 
 // IsLoad reports whether the opcode is a memory load.
-func (o Op) IsLoad() bool { return o >= OpI32Load && o <= OpV128Load }
+func (o Op) IsLoad() bool { return o >= OpI32Load && o <= OpI32Load16U }
 
 // IsStore reports whether the opcode is a memory store.
-func (o Op) IsStore() bool { return o >= OpI32Store && o <= OpV128Store }
+func (o Op) IsStore() bool { return o >= OpI32Store && o <= OpI32Store8 }
 
 // AccessSize returns the memory footprint in bytes of a load/store
 // opcode, or 0 for other ops.
 func (o Op) AccessSize() uint32 {
 	switch o {
-	case OpI32Load8U, OpI32Load8S, OpI32Store8:
+	case OpI32Load8U, OpI32Store8:
 		return 1
-	case OpI32Load16U, OpI32Store16:
+	case OpI32Load16U:
 		return 2
 	case OpI32Load, OpI32Store:
 		return 4
 	case OpI64Load, OpI64Store, OpF64Load, OpF64Store:
 		return 8
-	case OpV128Load, OpV128Store:
-		return 16
 	default:
 		return 0
 	}
@@ -365,8 +278,7 @@ type TrapKind uint8
 
 // Trap kinds.
 const (
-	TrapUnreachable TrapKind = iota
-	TrapOOB
+	TrapOOB TrapKind = iota
 	TrapDivByZero
 	TrapIntOverflow
 	TrapIndirectOOB
@@ -376,7 +288,7 @@ const (
 )
 
 var trapNames = [...]string{
-	"unreachable executed", "out-of-bounds memory access", "integer divide by zero",
+	"out-of-bounds memory access", "integer divide by zero",
 	"integer overflow", "table index out of bounds", "indirect call signature mismatch",
 	"uninitialized table element", "call stack exhausted",
 }

@@ -4,17 +4,12 @@ import "fmt"
 
 // Validate type-checks every function in the module against the standard
 // Wasm stack discipline (including unreachable-code polymorphism),
-// verifies table/global/data consistency, and caches control-structure
+// verifies table/data consistency, and caches control-structure
 // resolution (block/if → matching else/end) for the interpreter and the
 // compilers. It must be called before Interp or compilation.
 func (m *Module) Validate() error {
 	if m.MemMax < m.MemMin {
 		return fmt.Errorf("ir: module %q: MemMax %d < MemMin %d", m.Name, m.MemMax, m.MemMin)
-	}
-	for _, g := range m.Globals {
-		if g.Type == V128 {
-			return fmt.Errorf("ir: module %q: v128 globals unsupported", m.Name)
-		}
 	}
 	for _, seg := range m.Data {
 		end := uint64(seg.Offset) + uint64(len(seg.Bytes))
@@ -153,10 +148,6 @@ func (m *Module) validateFunc(f *Func) error {
 func (v *validator) step(pc int, in Inst) error {
 	f, m := v.f, v.m
 	switch in.Op {
-	case OpNop:
-	case OpUnreachable:
-		v.markDead()
-
 	case OpBlock, OpLoop:
 		v.frames = append(v.frames, vframe{op: in.Op, result: in.BlockType, height: len(v.vals), startIdx: pc, elseIdx: -1})
 	case OpIf:
@@ -256,13 +247,6 @@ func (v *validator) step(pc int, in Inst) error {
 			}
 		}
 		v.markDead()
-	case OpReturn:
-		for i := len(f.Type.Results) - 1; i >= 0; i-- {
-			if err := v.pop(f.Type.Results[i]); err != nil {
-				return err
-			}
-		}
-		v.markDead()
 
 	case OpCall:
 		sig, err := m.TypeOf(uint32(in.Imm))
@@ -278,29 +262,6 @@ func (v *validator) step(pc int, in Inst) error {
 			return err
 		}
 		return v.applyCall(m.sigTable[in.Imm])
-
-	case OpDrop:
-		_, err := v.popAny()
-		return err
-	case OpSelect:
-		if err := v.pop(I32); err != nil {
-			return err
-		}
-		t1, err := v.popAny()
-		if err != nil {
-			return err
-		}
-		t2, err := v.popAny()
-		if err != nil {
-			return err
-		}
-		if t1 != unknownType && t2 != unknownType && t1 != t2 {
-			return fmt.Errorf("select operands differ: %v vs %v", t1, t2)
-		}
-		if t1 == unknownType {
-			t1 = t2
-		}
-		v.push(t1)
 
 	case OpLocalGet, OpLocalSet, OpLocalTee:
 		if in.Imm < 0 || int(in.Imm) >= f.NumLocals() {
@@ -318,19 +279,6 @@ func (v *validator) step(pc int, in Inst) error {
 			}
 			v.push(t)
 		}
-	case OpGlobalGet, OpGlobalSet:
-		if in.Imm < 0 || int(in.Imm) >= len(m.Globals) {
-			return fmt.Errorf("global index %d out of range", in.Imm)
-		}
-		g := m.Globals[in.Imm]
-		if in.Op == OpGlobalGet {
-			v.push(g.Type)
-		} else {
-			if !g.Mutable {
-				return fmt.Errorf("global %d is immutable", in.Imm)
-			}
-			return v.pop(g.Type)
-		}
 
 	case OpI32Const:
 		v.push(I32)
@@ -346,7 +294,7 @@ func (v *validator) step(pc int, in Inst) error {
 			return err
 		}
 		v.push(I32)
-	case OpMemoryCopy, OpMemoryFill:
+	case OpMemoryFill:
 		for i := 0; i < 3; i++ {
 			if err := v.pop(I32); err != nil {
 				return err
@@ -378,8 +326,6 @@ func loadResult(o Op) ValType {
 		return I64
 	case OpF64Load:
 		return F64
-	case OpV128Load:
-		return V128
 	default:
 		return I32
 	}
@@ -392,8 +338,6 @@ func storeOperand(o Op) ValType {
 		return I64
 	case OpF64Store:
 		return F64
-	case OpV128Store:
-		return V128
 	default:
 		return I32
 	}
@@ -428,40 +372,22 @@ func (v *validator) stepALU(in Inst) error {
 		return v.pop(I32)
 	case o == OpI32Eqz:
 		return un(I32, I32)
-	case o >= OpI32Eq && o <= OpI32GeU:
+	case o >= OpI32Eq && o <= OpI32Rotl:
 		return bin(I32, I32)
-	case o >= OpI32Add && o <= OpI32ShrU || o == OpI32Rotl || o == OpI32Rotr:
-		return bin(I32, I32)
-	case o == OpI32Clz || o == OpI32Ctz || o == OpI32Popcnt:
-		return un(I32, I32)
-	case o == OpI64Eqz:
-		return un(I64, I32)
-	case o >= OpI64Eq && o <= OpI64GeU:
-		return bin(I64, I32)
-	case o >= OpI64Add && o <= OpI64ShrU || o == OpI64Rotl || o == OpI64Rotr:
+	case o == OpI64Add || o == OpI64Mul || o == OpI64ShrU:
 		return bin(I64, I64)
-	case o == OpI64Clz || o == OpI64Ctz || o == OpI64Popcnt:
+	case o == OpI64Popcnt:
 		return un(I64, I64)
-	case o >= OpF64Eq && o <= OpF64Ge:
-		return bin(F64, I32)
-	case o >= OpF64Add && o <= OpF64Div || o == OpF64Min || o == OpF64Max:
+	case o == OpF64Add || o == OpF64Mul || o == OpF64Div || o == OpF64Min:
 		return bin(F64, F64)
-	case o == OpF64Sqrt || o == OpF64Abs || o == OpF64Neg:
+	case o == OpF64Abs:
 		return un(F64, F64)
 	case o == OpI32WrapI64:
 		return un(I64, I32)
-	case o == OpI64ExtendI32S || o == OpI64ExtendI32U:
+	case o == OpI64ExtendI32U:
 		return un(I32, I64)
-	case o == OpF64ConvertI32S || o == OpF64ConvertI32U:
+	case o == OpF64ConvertI32S:
 		return un(I32, F64)
-	case o == OpF64ConvertI64S:
-		return un(I64, F64)
-	case o == OpI32TruncF64S:
-		return un(F64, I32)
-	case o == OpI64TruncF64S:
-		return un(F64, I64)
-	case o == OpF64ReinterpretI64:
-		return un(I64, F64)
 	case o == OpI64ReinterpretF64:
 		return un(F64, I64)
 	default:

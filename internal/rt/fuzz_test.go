@@ -71,11 +71,11 @@ func (g *progGen) expr(d int) {
 		g.expr(d - 1)
 		fb.I32(int32(g.rng.Intn(31) + 1)).I32Shl()
 	case 6:
-		// safe division: divisor | 1
+		// safe remainder: divisor | 1 (an unsigned DIV lowering)
 		g.expr(d - 1)
 		g.expr(d - 1)
 		fb.I32(1).I32Or()
-		fb.I32DivU()
+		fb.I32RemU()
 	case 7:
 		g.expr(d - 1)
 		g.expr(d - 1)
@@ -89,7 +89,7 @@ func (g *progGen) expr(d int) {
 	default:
 		// f64 round trip (exact ops only)
 		g.expr(d - 1)
-		fb.F64ConvertI32U()
+		fb.F64ConvertI32S() // exact for every int32
 		fb.Get(g.pick(g.f64s)).F64Add()
 		fb.I64ReinterpretF64().I32WrapI64()
 	}

@@ -36,7 +36,6 @@ func (inst *Instance) bindHosts() {
 		hosts[idx] = inst.wrapHost(sig, impl)
 	}
 	hosts[meta.BuiltinIndex(sfi.BuiltinGrow)] = inst.builtinGrow
-	hosts[meta.BuiltinIndex(sfi.BuiltinCopy)] = inst.builtinCopy
 	hosts[meta.BuiltinIndex(sfi.BuiltinFill)] = inst.builtinFill
 	inst.Mach.Hosts = hosts
 }
@@ -122,38 +121,19 @@ func (inst *Instance) builtinGrow(mach *cpu.Machine) error {
 	return nil
 }
 
-// bulkCost charges the cycle cost of an n-byte bulk operation at a
-// vectorized 16 B/cycle, plus cache traffic per line touched.
-func (inst *Instance) bulkCost(mach *cpu.Machine, addrs []uint64, n uint64) {
+// bulkCost charges the cycle cost of an n-byte bulk operation at
+// linear-memory address a at a vectorized 16 B/cycle, plus cache
+// traffic per line touched.
+func (inst *Instance) bulkCost(mach *cpu.Machine, a, n uint64) {
 	mach.Stats.Cycles += 2 + float64(n)/16
-	for _, a := range addrs {
-		for off := uint64(0); off < n; off += 64 {
-			switch mach.Hier.AccessL1(inst.HeapBase + a + off) {
-			case 1:
-				mach.Stats.Cycles += mach.Cost.L2Hit
-			case 2:
-				mach.Stats.Cycles += mach.Cost.MemAccess
-			}
+	for off := uint64(0); off < n; off += 64 {
+		switch mach.Hier.AccessL1(inst.HeapBase + a + off) {
+		case 1:
+			mach.Stats.Cycles += mach.Cost.L2Hit
+		case 2:
+			mach.Stats.Cycles += mach.Cost.MemAccess
 		}
 	}
-}
-
-// builtinCopy implements memory.copy with memmove semantics.
-func (inst *Instance) builtinCopy(mach *cpu.Machine) error {
-	dst := uint64(uint32(mach.Regs[cpu.ArgRegs[0]]))
-	src := uint64(uint32(mach.Regs[cpu.ArgRegs[1]]))
-	n := uint64(uint32(mach.Regs[cpu.ArgRegs[2]]))
-	if dst+n > inst.MemBytes || src+n > inst.MemBytes {
-		return &cpu.Trap{Kind: cpu.TrapPageFault, Addr: inst.HeapBase + max64(dst, src) + n}
-	}
-	if n == 0 {
-		return nil
-	}
-	buf := make([]byte, n)
-	inst.AS.ReadBytes(inst.HeapBase+src, buf)
-	inst.AS.WriteBytes(inst.HeapBase+dst, buf)
-	inst.bulkCost(mach, []uint64{src, dst}, n)
-	return nil
 }
 
 // builtinFill implements memory.fill.
@@ -172,13 +152,6 @@ func (inst *Instance) builtinFill(mach *cpu.Machine) error {
 		buf[i] = val
 	}
 	inst.AS.WriteBytes(inst.HeapBase+dst, buf)
-	inst.bulkCost(mach, []uint64{dst}, n)
+	inst.bulkCost(mach, dst, n)
 	return nil
-}
-
-func max64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }

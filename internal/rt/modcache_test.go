@@ -238,11 +238,28 @@ func fuseConcurrently(t *testing.T, mod *Module, seed uint64) {
 	if t.Failed() {
 		return
 	}
-	n := mod.Prog.FusedBlocks()
-	if n == 0 {
-		t.Fatal("no fused overlay after fused-tier runs")
+	got := blocks.Load() - blocks0
+	// One build's worth of groups: fuse a fresh compile of the same
+	// module once.
+	fresh, err := CompileModule(mod.IR, mod.Cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := blocks.Load() - blocks0; got != uint64(n) {
+	inst, err := NewInstance(fresh, InstanceOptions{FSGSBASE: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer inst.Close()
+	inst.Mach.Tier = cpu.TierFused
+	blocks1 := blocks.Load()
+	if _, err := inst.Invoke("run", seed); err != nil {
+		t.Fatal(err)
+	}
+	n := blocks.Load() - blocks1
+	if n == 0 {
+		t.Fatal("no fused overlay after a fused-tier run")
+	}
+	if got != n {
 		t.Fatalf("cpu.fuse.blocks advanced by %d, want one build of %d groups", got, n)
 	}
 	for w := range workers {

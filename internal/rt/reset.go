@@ -2,7 +2,6 @@ package rt
 
 import (
 	"errors"
-	"math"
 
 	"repro/internal/cpu"
 	"repro/internal/ir"
@@ -17,8 +16,8 @@ var ErrGrownInstance = errors.New("rt: instance grew; cannot reset")
 
 var resetCounter = telemetry.Default.Counter("rt.resets")
 
-// initMemory writes the module-defined initial state: context fields,
-// globals, and data segments. Everything else an execution can observe
+// initMemory writes the module-defined initial state: context fields
+// and data segments. Everything else an execution can observe
 // (linear memory, the machine stack, the spill area of the context
 // block) must already be zero — fresh mappings guarantee that at
 // instantiation, MadviseDontneed restores it under Reset.
@@ -28,13 +27,6 @@ func (inst *Instance) initMemory() {
 	inst.AS.Store(ctx+sfi.CtxHeapBaseOff, 8, inst.HeapBase)
 	inst.AS.Store(ctx+sfi.CtxMemLimitOff, 8, inst.MemBytes)
 	inst.AS.Store(ctx+sfi.CtxMemPagesOff, 8, inst.MemBytes/ir.PageSize)
-	for i, g := range m.Globals {
-		v := uint64(g.Init)
-		if g.Type == ir.F64 {
-			v = math.Float64bits(g.InitF)
-		}
-		inst.AS.Store(ctx+sfi.CtxGlobalsOff+8*uint64(i), 8, v)
-	}
 	for _, seg := range m.Data {
 		inst.AS.WriteBytes(inst.HeapBase+uint64(seg.Offset), seg.Bytes)
 	}

@@ -251,15 +251,15 @@ func NewInstance(mod *Module, opts InstanceOptions) (*Instance, error) {
 	}
 	inst.StackTop = sb + pageUp(stackBytes)
 	inst.stackBase = sb
-	ctx, err := inst.AS.MmapAnywhere(pageUp(sfi.CtxSize(m)), mem.ProtRead|mem.ProtWrite)
+	ctx, err := inst.AS.MmapAnywhere(pageUp(sfi.CtxSize), mem.ProtRead|mem.ProtWrite)
 	if err != nil {
 		return nil, fmt.Errorf("rt: allocating context: %w", err)
 	}
 	inst.CtxBase = ctx
-	inst.ctxBytes = pageUp(sfi.CtxSize(m))
+	inst.ctxBytes = pageUp(sfi.CtxSize)
 	inst.initMemBytes = inst.MemBytes
 
-	// Initialize context fields, globals, and data segments (shared
+	// Initialize context fields and data segments (shared
 	// with Reset, which replays exactly this on a recycled instance).
 	inst.initMemory()
 

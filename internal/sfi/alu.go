@@ -13,34 +13,21 @@ var aluOpFor = map[ir.Op]x86.Op{
 	ir.OpI32Add: x86.ADD, ir.OpI32Sub: x86.SUB, ir.OpI32Mul: x86.IMUL,
 	ir.OpI32And: x86.AND, ir.OpI32Or: x86.OR, ir.OpI32Xor: x86.XOR,
 	ir.OpI32Shl: x86.SHL, ir.OpI32ShrS: x86.SAR, ir.OpI32ShrU: x86.SHR,
-	ir.OpI32Rotl: x86.ROL, ir.OpI32Rotr: x86.ROR,
-	ir.OpI64Add: x86.ADD, ir.OpI64Sub: x86.SUB, ir.OpI64Mul: x86.IMUL,
-	ir.OpI64And: x86.AND, ir.OpI64Or: x86.OR, ir.OpI64Xor: x86.XOR,
-	ir.OpI64Shl: x86.SHL, ir.OpI64ShrS: x86.SAR, ir.OpI64ShrU: x86.SHR,
-	ir.OpI64Rotl: x86.ROL, ir.OpI64Rotr: x86.ROR,
+	ir.OpI32Rotl: x86.ROL,
+	ir.OpI64Add:  x86.ADD, ir.OpI64Mul: x86.IMUL, ir.OpI64ShrU: x86.SHR,
 }
 
 // condFor maps IR comparisons to x86 condition codes (for CMP a, b).
 var condFor = map[ir.Op]x86.Cond{
 	ir.OpI32Eq: x86.CondE, ir.OpI32Ne: x86.CondNE,
 	ir.OpI32LtS: x86.CondL, ir.OpI32LtU: x86.CondB,
-	ir.OpI32GtS: x86.CondG, ir.OpI32GtU: x86.CondA,
-	ir.OpI32LeS: x86.CondLE, ir.OpI32LeU: x86.CondBE,
+	ir.OpI32GtS: x86.CondG, ir.OpI32LeS: x86.CondLE,
 	ir.OpI32GeS: x86.CondGE, ir.OpI32GeU: x86.CondAE,
-	ir.OpI64Eq: x86.CondE, ir.OpI64Ne: x86.CondNE,
-	ir.OpI64LtS: x86.CondL, ir.OpI64LtU: x86.CondB,
-	ir.OpI64GtS: x86.CondG, ir.OpI64GtU: x86.CondA,
-	ir.OpI64LeS: x86.CondLE, ir.OpI64LeU: x86.CondBE,
-	ir.OpI64GeS: x86.CondGE, ir.OpI64GeU: x86.CondAE,
-	// f64 via UCOMISD: unsigned flags.
-	ir.OpF64Eq: x86.CondE, ir.OpF64Ne: x86.CondNE,
-	ir.OpF64Lt: x86.CondB, ir.OpF64Gt: x86.CondA,
-	ir.OpF64Le: x86.CondBE, ir.OpF64Ge: x86.CondAE,
 }
 
 var fbinOpFor = map[ir.Op]x86.Op{
-	ir.OpF64Add: x86.ADDSD, ir.OpF64Sub: x86.SUBSD, ir.OpF64Mul: x86.MULSD,
-	ir.OpF64Div: x86.DIVSD, ir.OpF64Min: x86.MINSD, ir.OpF64Max: x86.MAXSD,
+	ir.OpF64Add: x86.ADDSD, ir.OpF64Mul: x86.MULSD,
+	ir.OpF64Div: x86.DIVSD, ir.OpF64Min: x86.MINSD,
 }
 
 // fuseAhead reports whether the next IR instruction consumes a
@@ -50,7 +37,7 @@ func (fc *fnc) fuseAhead(pc int) bool {
 		return false
 	}
 	switch fc.f.Body[pc+1].Op {
-	case ir.OpBrIf, ir.OpIf, ir.OpSelect:
+	case ir.OpBrIf, ir.OpIf:
 		return true
 	}
 	return false
@@ -75,57 +62,17 @@ func (fc *fnc) memopAfter(pc int) bool {
 	return false
 }
 
-// foldConst evaluates a binop on two integer constants.
-func foldConst(op ir.Op, a, b int64) (int64, bool) {
-	switch op {
-	case ir.OpI32Add:
-		return int64(uint32(a) + uint32(b)), true
-	case ir.OpI32Sub:
-		return int64(uint32(a) - uint32(b)), true
-	case ir.OpI32Mul:
-		return int64(uint32(a) * uint32(b)), true
-	case ir.OpI32And:
-		return a & b, true
-	case ir.OpI32Or:
-		return a | b, true
-	case ir.OpI32Xor:
-		return int64(uint32(a) ^ uint32(b)), true
-	case ir.OpI32Shl:
-		return int64(uint32(a) << (uint32(b) & 31)), true
-	case ir.OpI64Add:
-		return a + b, true
-	case ir.OpI64Sub:
-		return a - b, true
-	case ir.OpI64Mul:
-		return a * b, true
-	case ir.OpI64And:
-		return a & b, true
-	case ir.OpI64Or:
-		return a | b, true
-	case ir.OpI64Xor:
-		return a ^ b, true
-	}
-	return 0, false
-}
-
 func (fc *fnc) compileALU(pc int, in ir.Inst) error {
 	o := in.Op
 	switch {
-	case o == ir.OpI32Eqz || o == ir.OpI64Eqz:
-		w := x86.W32
-		if o == ir.OpI64Eqz {
-			w = x86.W64
-		}
+	case o == ir.OpI32Eqz:
 		r, _ := fc.popReg(false)
-		fc.emit(x86.Inst{Op: x86.CMP, W: w, Dst: x86.R(r), Src: x86.Imm(0)})
+		fc.emit(x86.Inst{Op: x86.CMP, W: x86.W32, Dst: x86.R(r), Src: x86.Imm(0)})
 		fc.pushCmpResult(pc, x86.CondE)
 		return nil
 
-	case condFor[o] != 0 && ((o >= ir.OpI32Eq && o <= ir.OpI32GeU) || (o >= ir.OpI64Eq && o <= ir.OpI64GeU)):
+	case condFor[o] != 0:
 		w := x86.W32
-		if o >= ir.OpI64Eq {
-			w = x86.W64
-		}
 		n := len(fc.vstack)
 		if top := fc.vstack[n-1]; top.kind == lConst && fitsImm32(top.imm) {
 			fc.pop()
@@ -142,26 +89,14 @@ func (fc *fnc) compileALU(pc int, in ir.Inst) error {
 		fc.pushCmpResult(pc, condFor[o])
 		return nil
 
-	case o >= ir.OpF64Eq && o <= ir.OpF64Ge:
-		n := len(fc.vstack)
-		fc.ensureXmm(n-1, false)
-		a := fc.ensureXmm(n-2, false)
-		b := fc.ensureXmm(n-1, false)
-		fc.vstack = fc.vstack[:n-2]
-		fc.emit(x86.Inst{Op: x86.UCOMISD, Dst: x86.X(a), Src: x86.X(b)})
-		fc.pushCmpResult(pc, condFor[o])
-		return nil
-
-	case o == ir.OpI32DivS || o == ir.OpI32DivU || o == ir.OpI32RemS || o == ir.OpI32RemU ||
-		o == ir.OpI64DivS || o == ir.OpI64DivU || o == ir.OpI64RemS || o == ir.OpI64RemU:
+	case o == ir.OpI32DivS || o == ir.OpI32RemS || o == ir.OpI32RemU:
 		return fc.compileDivRem(o)
 
-	case o == ir.OpI32Clz || o == ir.OpI64Clz:
-		return fc.unaryBit(x86.LZCNT, o == ir.OpI64Clz)
-	case o == ir.OpI32Ctz || o == ir.OpI64Ctz:
-		return fc.unaryBit(x86.TZCNT, o == ir.OpI64Ctz)
-	case o == ir.OpI32Popcnt || o == ir.OpI64Popcnt:
-		return fc.unaryBit(x86.POPCNT, o == ir.OpI64Popcnt)
+	case o == ir.OpI64Popcnt:
+		a, _ := fc.popReg(true)
+		fc.emit(x86.Inst{Op: x86.POPCNT, W: x86.W64, Dst: x86.R(a), Src: x86.R(a)})
+		fc.pushReg(a, ir.I64)
+		return nil
 
 	case aluOpFor[o] != 0:
 		return fc.compileIntBin(pc, in)
@@ -176,16 +111,9 @@ func (fc *fnc) compileALU(pc int, in ir.Inst) error {
 		fc.push(loc{kind: lXmm, typ: ir.F64, xmm: a})
 		return nil
 
-	case o == ir.OpF64Sqrt || o == ir.OpF64Abs || o == ir.OpF64Neg:
+	case o == ir.OpF64Abs:
 		a := fc.popXmm(true)
-		switch o {
-		case ir.OpF64Sqrt:
-			fc.emit(x86.Inst{Op: x86.SQRTSD, Dst: x86.X(a), Src: x86.X(a)})
-		case ir.OpF64Abs:
-			fc.emit(x86.Inst{Op: x86.ABSSD, Dst: x86.X(a)})
-		case ir.OpF64Neg:
-			fc.emit(x86.Inst{Op: x86.NEGSD, Dst: x86.X(a)})
-		}
+		fc.emit(x86.Inst{Op: x86.ABSSD, Dst: x86.X(a)})
 		fc.push(loc{kind: lXmm, typ: ir.F64, xmm: a})
 		return nil
 
@@ -212,7 +140,7 @@ func fitsImm32(v int64) bool { return v >= math.MinInt32 && v <= math.MaxInt32 }
 // Segue's extra operand slot (and Guard's single-LEA form).
 func (fc *fnc) compileIntBin(pc int, in ir.Inst) error {
 	o := in.Op
-	is64 := o >= ir.OpI64Add
+	is64 := o == ir.OpI64Add || o == ir.OpI64Mul || o == ir.OpI64ShrU
 	w := x86.W32
 	t := ir.I32
 	if is64 {
@@ -220,15 +148,6 @@ func (fc *fnc) compileIntBin(pc int, in ir.Inst) error {
 	}
 	n := len(fc.vstack)
 	a, b := &fc.vstack[n-2], &fc.vstack[n-1]
-
-	// Constant folding.
-	if a.kind == lConst && b.kind == lConst {
-		if v, ok := foldConst(o, a.imm, b.imm); ok {
-			fc.vstack = fc.vstack[:n-2]
-			fc.push(loc{kind: lConst, typ: t, imm: v})
-			return nil
-		}
-	}
 
 	// Address-pair formation for i32.add feeding a memory access.
 	if o == ir.OpI32Add && fc.memopAfter(pc) {
@@ -368,19 +287,6 @@ func (fc *fnc) tryFormPair() bool {
 	return false
 }
 
-// unaryBit lowers clz/ctz/popcnt.
-func (fc *fnc) unaryBit(op x86.Op, is64 bool) error {
-	w := x86.W32
-	t := ir.I32
-	if is64 {
-		w, t = x86.W64, ir.I64
-	}
-	a, _ := fc.popReg(true)
-	fc.emit(x86.Inst{Op: op, W: w, Dst: x86.R(a), Src: x86.R(a)})
-	fc.pushReg(a, t)
-	return nil
-}
-
 // allocGPRExcl allocates a scratch register outside the excluded set.
 func (fc *fnc) allocGPRExcl(excl ...x86.Reg) x86.Reg {
 	bad := func(r x86.Reg) bool {
@@ -409,16 +315,12 @@ func (fc *fnc) allocGPRExcl(excl ...x86.Reg) x86.Reg {
 	panic("sfi: no register available outside exclusion set")
 }
 
-// compileDivRem lowers division through the RAX/RDX convention.
+// compileDivRem lowers i32 division through the RAX/RDX convention.
 func (fc *fnc) compileDivRem(o ir.Op) error {
-	is64 := o >= ir.OpI64DivS
-	signed := o == ir.OpI32DivS || o == ir.OpI32RemS || o == ir.OpI64DivS || o == ir.OpI64RemS
-	isRem := o == ir.OpI32RemS || o == ir.OpI32RemU || o == ir.OpI64RemS || o == ir.OpI64RemU
+	signed := o == ir.OpI32DivS || o == ir.OpI32RemS
+	isRem := o == ir.OpI32RemS || o == ir.OpI32RemU
 	w := x86.W32
 	t := ir.I32
-	if is64 {
-		w, t = x86.W64, ir.I64
-	}
 	n := len(fc.vstack)
 	// Evict unrelated values from RAX/RDX.
 	for i := 0; i < n-2; i++ {
@@ -509,50 +411,10 @@ func (fc *fnc) compileConvert(pc int, in ir.Inst) error {
 		fc.pushReg(r, ir.I64)
 		return nil
 
-	case ir.OpI64ExtendI32S:
-		src, _ := fc.popReg(false)
-		dst := fc.allocGPR()
-		fc.emit(x86.Inst{Op: x86.MOVSX, W: x86.W64, SrcW: x86.W32, Dst: x86.R(dst), Src: x86.R(src)})
-		fc.pushReg(dst, ir.I64)
-		return nil
-
 	case ir.OpF64ConvertI32S:
 		r, _ := fc.popReg(false)
 		x := fc.allocXmm()
 		fc.emit(x86.Inst{Op: x86.CVTSI2SD, W: x86.W32, Dst: x86.X(x), Src: x86.R(r)})
-		fc.push(loc{kind: lXmm, typ: ir.F64, xmm: x})
-		return nil
-	case ir.OpF64ConvertI32U:
-		// A clean u32 converts exactly via the signed 64-bit form.
-		r, _ := fc.popReg(false)
-		x := fc.allocXmm()
-		fc.emit(x86.Inst{Op: x86.CVTSI2SD, W: x86.W64, Dst: x86.X(x), Src: x86.R(r)})
-		fc.push(loc{kind: lXmm, typ: ir.F64, xmm: x})
-		return nil
-	case ir.OpF64ConvertI64S:
-		r, _ := fc.popReg(false)
-		x := fc.allocXmm()
-		fc.emit(x86.Inst{Op: x86.CVTSI2SD, W: x86.W64, Dst: x86.X(x), Src: x86.R(r)})
-		fc.push(loc{kind: lXmm, typ: ir.F64, xmm: x})
-		return nil
-
-	case ir.OpI32TruncF64S:
-		x := fc.popXmm(false)
-		r := fc.allocGPR()
-		fc.emit(x86.Inst{Op: x86.CVTTSD2SI, W: x86.W32, Dst: x86.R(r), Src: x86.X(x)})
-		fc.pushReg(r, ir.I32)
-		return nil
-	case ir.OpI64TruncF64S:
-		x := fc.popXmm(false)
-		r := fc.allocGPR()
-		fc.emit(x86.Inst{Op: x86.CVTTSD2SI, W: x86.W64, Dst: x86.R(r), Src: x86.X(x)})
-		fc.pushReg(r, ir.I64)
-		return nil
-
-	case ir.OpF64ReinterpretI64:
-		r, _ := fc.popReg(false)
-		x := fc.allocXmm()
-		fc.emit(x86.Inst{Op: x86.MOVQRX, Dst: x86.X(x), Src: x86.R(r)})
 		fc.push(loc{kind: lXmm, typ: ir.F64, xmm: x})
 		return nil
 	case ir.OpI64ReinterpretF64:

@@ -172,18 +172,12 @@ const (
 	CtxHeapBaseOff = 0  // heap base (informational; code uses R15/GS)
 	CtxMemLimitOff = 8  // linear memory size in bytes (bounds checks)
 	CtxMemPagesOff = 16 // linear memory size in pages (memory.size)
-	CtxGlobalsOff  = 32 // globals, 8 bytes each
+	CtxSize        = 32 // the context region's size
 )
-
-// CtxSize returns the context-region size for a module.
-func CtxSize(m *ir.Module) uint64 {
-	return CtxGlobalsOff + 8*uint64(len(m.Globals))
-}
 
 // Builtin host slots appended after the module's imports.
 const (
 	BuiltinGrow = iota // memory.grow(delta_pages) -> old_pages
-	BuiltinCopy        // memory.copy(dst, src, n)
 	BuiltinFill        // memory.fill(dst, val, n)
 	NumBuiltins
 )
@@ -252,7 +246,6 @@ func Compile(m *ir.Module, cfg Config) (*cpu.Program, *Meta, error) {
 		prog.HostNames[i] = imp.Name
 	}
 	prog.HostNames[meta.BuiltinIndex(BuiltinGrow)] = "builtin.memory.grow"
-	prog.HostNames[meta.BuiltinIndex(BuiltinCopy)] = "builtin.memory.copy"
 	prog.HostNames[meta.BuiltinIndex(BuiltinFill)] = "builtin.memory.fill"
 
 	for fi, f := range m.Funcs {

@@ -11,7 +11,7 @@ import (
 // Register conventions for compiled code:
 //
 //	RSP/RBP  — machine stack / frame pointer (locals, spill slots)
-//	R14      — vmctx: per-instance context block (globals, limits)
+//	R14      — vmctx: per-instance context block (heap base, limits)
 //	R15      — heap base in modes that pin it; an extra local register
 //	           in ModeNative/ModeSegue/ModeBoundsSegue
 //	R12, R13, RBX — register-resident locals (callee-saved)
@@ -260,9 +260,6 @@ func (fc *fnc) spillEntry(i int) {
 		s := fc.newSlot()
 		fc.emit(x86.Inst{Op: x86.MOVSD, Dst: x86.M(fc.slotMem(s)), Src: x86.X(l.xmm)})
 		*l = loc{kind: lSlot, typ: l.typ, slot: s}
-	case lFlags:
-		fc.materializeFlags(l)
-		fc.spillEntry(i)
 	case lLocal:
 		// Copy the current local value out (the local may change).
 		s := fc.newSlot()
@@ -278,8 +275,9 @@ func (fc *fnc) spillEntry(i int) {
 			fc.emit(x86.Inst{Op: x86.MOV, W: widthOf(t), Dst: x86.M(fc.slotMem(s)), Src: x86.R(r)})
 		}
 		*l = loc{kind: lSlot, typ: l.typ, slot: s}
-	case lConst, lFConst, lSlot:
-		// Stable across control flow; nothing to do.
+	case lConst, lFConst, lSlot, lFlags:
+		// Stable across control flow, or (lFlags) consumed by the very
+		// next instruction; nothing to do.
 	}
 }
 
@@ -292,13 +290,6 @@ func (fc *fnc) materializePair(l *loc) {
 		mem.Index, mem.Scale = l.index, l.scale
 	}
 	fc.emit(x86.Inst{Op: x86.LEA, W: x86.W32, Dst: x86.R(r), Src: x86.M(mem)})
-	*l = loc{kind: lReg, typ: ir.I32, reg: r}
-}
-
-// materializeFlags converts a pending comparison into a 0/1 register.
-func (fc *fnc) materializeFlags(l *loc) {
-	r := fc.allocGPR()
-	fc.emit(x86.Inst{Op: x86.SETCC, Cond: x86.Cond(l.imm), Dst: x86.R(r)})
 	*l = loc{kind: lReg, typ: ir.I32, reg: r}
 }
 
@@ -349,9 +340,6 @@ func (fc *fnc) ensureReg(i int, mutable bool) x86.Reg {
 	case lPair:
 		fc.materializePair(l)
 		return l.reg
-	case lFlags:
-		fc.materializeFlags(l)
-		return l.reg
 	default:
 		panic(fmt.Sprintf("sfi: ensureReg on kind %d", l.kind))
 	}
@@ -395,17 +383,6 @@ func (fc *fnc) pop() loc {
 	return l
 }
 
-// popDiscard pops and releases any slot the entry owned.
-func (fc *fnc) popDiscard() {
-	l := fc.pop()
-	if l.kind == lSlot {
-		fc.freeSlot(l.slot)
-	}
-	if l.kind == lFlags {
-		// Nothing to release; flags are simply forgotten.
-	}
-}
-
 // popReg pops the top of stack into a register.
 func (fc *fnc) popReg(mutable bool) (x86.Reg, ir.ValType) {
 	r := fc.ensureReg(len(fc.vstack)-1, mutable)
@@ -420,25 +397,13 @@ func (fc *fnc) popXmm(mutable bool) x86.Xmm {
 	return x
 }
 
-// bin2 materializes the two top entries for a binary op, returning
-// (a, b) with a mutable (the result register).
-func (fc *fnc) bin2() (a, b x86.Reg) {
-	n := len(fc.vstack)
-	b = fc.ensureReg(n-1, false)
-	a = fc.ensureReg(n-2, true)
-	// ensureReg(n-2) may spill the n-1 entry under pressure; reload b.
-	b = fc.ensureReg(n-1, false)
-	fc.vstack = fc.vstack[:n-2]
-	return a, b
-}
-
 // spillVolatile spills every volatile vstack entry (registers, pairs,
-// flags, lazy locals) to slots. Called at control-flow boundaries and
-// calls; constants stay as constants.
+// lazy locals) to slots. Called at control-flow boundaries and calls;
+// constants stay as constants.
 func (fc *fnc) spillVolatile() {
 	for i := range fc.vstack {
 		switch fc.vstack[i].kind {
-		case lReg, lXmm, lPair, lFlags, lLocal:
+		case lReg, lXmm, lPair, lLocal:
 			fc.spillEntry(i)
 		}
 	}
@@ -487,7 +452,7 @@ func (fc *fnc) compile() (*cpu.Func, error) {
 	fc.localPlace = make([]loc, f.NumLocals())
 	for i := 0; i < f.NumLocals(); i++ {
 		t := f.LocalType(i)
-		if t != ir.F64 && t != ir.V128 && nextReg < len(fc.localRegs) {
+		if t != ir.F64 && nextReg < len(fc.localRegs) {
 			fc.localPlace[i] = loc{kind: lReg, typ: t, reg: fc.localRegs[nextReg]}
 			nextReg++
 		} else {
@@ -539,8 +504,7 @@ func (fc *fnc) compile() (*cpu.Func, error) {
 		}
 	}
 
-	epilog := fc.newLabel()
-	fc.epilogLbl = epilog
+	fc.epilogLbl = fc.newLabel()
 
 	// Compile the body.
 	for pc := 0; pc < len(f.Body); pc++ {
@@ -562,7 +526,7 @@ func (fc *fnc) compile() (*cpu.Func, error) {
 			}
 			continue
 		}
-		if err := fc.step(pc, in, epilog); err != nil {
+		if err := fc.step(pc, in); err != nil {
 			return nil, fmt.Errorf("at %d (%s): %w", pc, in, err)
 		}
 	}
@@ -573,7 +537,7 @@ func (fc *fnc) compile() (*cpu.Func, error) {
 	}
 
 	// Epilogue.
-	fc.bind(epilog)
+	fc.bind(fc.epilogLbl)
 	if fc.cfg.Mode.controlFlowSFI() {
 		// LFI return instrumentation: mask the return address to 32
 		// bits and add the sandbox base (NaCl-style), which is why LFI

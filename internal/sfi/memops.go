@@ -18,12 +18,8 @@ func loadInstFor(o ir.Op) (op x86.Op, w, srcW x86.Width) {
 		return x86.MOVSD, x86.W64, 0
 	case ir.OpI32Load8U:
 		return x86.MOVZX, x86.W32, x86.W8
-	case ir.OpI32Load8S:
-		return x86.MOVSX, x86.W32, x86.W8
 	case ir.OpI32Load16U:
 		return x86.MOVZX, x86.W32, x86.W16
-	case ir.OpV128Load:
-		return x86.MOVDQU, x86.W128, 0
 	}
 	panic("sfi: not a load")
 }
@@ -32,14 +28,10 @@ func storeWidthFor(o ir.Op) x86.Width {
 	switch o {
 	case ir.OpI32Store8:
 		return x86.W8
-	case ir.OpI32Store16:
-		return x86.W16
 	case ir.OpI32Store:
 		return x86.W32
 	case ir.OpI64Store, ir.OpF64Store:
 		return x86.W64
-	case ir.OpV128Store:
-		return x86.W128
 	}
 	panic("sfi: not a store")
 }
@@ -62,9 +54,6 @@ func (fc *fnc) compileLoad(pc int, in ir.Inst) error {
 		x := fc.allocXmm()
 		fc.emit(x86.Inst{Op: op, Dst: x86.X(x), Src: x86.M(mem)})
 		fc.push(loc{kind: lXmm, typ: ir.F64, xmm: x})
-	case ir.OpV128Load:
-		fc.emit(x86.Inst{Op: op, W: w, Dst: x86.X(15), Src: x86.M(mem)})
-		fc.push(loc{kind: lXmm, typ: ir.V128, xmm: 15})
 	default:
 		r := fc.allocGPR()
 		fc.emit(x86.Inst{Op: op, W: w, SrcW: srcW, Dst: x86.R(r), Src: x86.M(mem)})
@@ -90,9 +79,9 @@ func (fc *fnc) compileStore(pc int, in ir.Inst) error {
 	var valReg x86.Reg
 	var valXmm x86.Xmm
 	switch {
-	case in.Op == ir.OpF64Store || in.Op == ir.OpV128Store:
+	case in.Op == ir.OpF64Store:
 		valXmm = fc.ensureXmm(n-1, false)
-	case val.kind == lConst && fitsImm32(val.imm) && w != x86.W128:
+	case val.kind == lConst && fitsImm32(val.imm):
 		valIsImm, valImm = true, val.imm
 	default:
 		valReg = fc.ensureReg(n-1, false)
@@ -103,7 +92,7 @@ func (fc *fnc) compileStore(pc int, in ir.Inst) error {
 		return err
 	}
 	// Re-fetch the value register in case address formation spilled it.
-	if !valIsImm && in.Op != ir.OpF64Store && in.Op != ir.OpV128Store {
+	if !valIsImm && in.Op != ir.OpF64Store {
 		valReg = fc.ensureReg(n-1, false)
 	}
 	fc.vstack = fc.vstack[:n-2]
@@ -115,8 +104,6 @@ func (fc *fnc) compileStore(pc int, in ir.Inst) error {
 	switch {
 	case in.Op == ir.OpF64Store:
 		fc.emit(x86.Inst{Op: x86.MOVSD, Dst: x86.M(mem), Src: x86.X(valXmm)})
-	case in.Op == ir.OpV128Store:
-		fc.emit(x86.Inst{Op: x86.MOVDQU, W: x86.W128, Dst: x86.M(mem), Src: x86.X(valXmm)})
 	case valIsImm:
 		fc.emit(x86.Inst{Op: x86.MOV, W: w, Dst: x86.M(mem), Src: x86.Imm(valImm)})
 	default:

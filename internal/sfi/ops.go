@@ -10,13 +10,8 @@ import (
 )
 
 // step compiles one IR instruction.
-func (fc *fnc) step(pc int, in ir.Inst, epilog int) error {
+func (fc *fnc) step(pc int, in ir.Inst) error {
 	switch in.Op {
-	case ir.OpNop:
-	case ir.OpUnreachable:
-		fc.emit(x86.Inst{Op: x86.UD2})
-		fc.dead = true
-
 	case ir.OpBlock:
 		fc.spillVolatile()
 		c := ctl{endLbl: fc.newLabel(), elseLbl: -1, height: len(fc.vstack)}
@@ -86,20 +81,11 @@ func (fc *fnc) step(pc int, in ir.Inst, epilog int) error {
 		}
 		fc.emit(x86.Inst{Op: x86.JTAB, Dst: x86.R(idx), Src: x86.Label(defLbl), Targets: targets})
 		fc.dead = true
-	case ir.OpReturn:
-		fc.moveResultToABI()
-		fc.jmp(epilog)
-		fc.dead = true
 
 	case ir.OpCall:
 		return fc.compileCall(uint32(in.Imm))
 	case ir.OpCallIndirect:
 		return fc.compileCallIndirect(int(in.Imm))
-
-	case ir.OpDrop:
-		fc.popDiscard()
-	case ir.OpSelect:
-		fc.compileSelect()
 
 	case ir.OpLocalGet:
 		li := uint32(in.Imm)
@@ -125,28 +111,6 @@ func (fc *fnc) step(pc int, in ir.Inst, epilog int) error {
 			fc.pop()
 		}
 		// For tee, the value stays on the stack in its register.
-	case ir.OpGlobalGet:
-		g := fc.m.Globals[in.Imm]
-		memOp := x86.M(x86.Mem{Base: vmctxReg, Disp: int32(CtxGlobalsOff + 8*in.Imm)})
-		if g.Type == ir.F64 {
-			x := fc.allocXmm()
-			fc.emit(x86.Inst{Op: x86.MOVSD, Dst: x86.X(x), Src: memOp})
-			fc.push(loc{kind: lXmm, typ: ir.F64, xmm: x})
-		} else {
-			r := fc.allocGPR()
-			fc.emit(x86.Inst{Op: x86.MOV, W: widthOf(g.Type), Dst: x86.R(r), Src: memOp})
-			fc.pushReg(r, g.Type)
-		}
-	case ir.OpGlobalSet:
-		g := fc.m.Globals[in.Imm]
-		memOp := x86.M(x86.Mem{Base: vmctxReg, Disp: int32(CtxGlobalsOff + 8*in.Imm)})
-		if g.Type == ir.F64 {
-			x := fc.popXmm(false)
-			fc.emit(x86.Inst{Op: x86.MOVSD, Dst: memOp, Src: x86.X(x)})
-		} else {
-			r, _ := fc.popReg(false)
-			fc.emit(x86.Inst{Op: x86.MOV, W: widthOf(g.Type), Dst: memOp, Src: x86.R(r)})
-		}
 
 	case ir.OpI32Const:
 		fc.push(loc{kind: lConst, typ: ir.I32, imm: int64(uint32(in.Imm))})
@@ -161,8 +125,6 @@ func (fc *fnc) step(pc int, in ir.Inst, epilog int) error {
 		fc.pushReg(r, ir.I32)
 	case ir.OpMemoryGrow:
 		return fc.compileBuiltin(BuiltinGrow, 1, true)
-	case ir.OpMemoryCopy:
-		return fc.compileBuiltin(BuiltinCopy, 3, false)
 	case ir.OpMemoryFill:
 		return fc.compileBuiltin(BuiltinFill, 3, false)
 
@@ -320,41 +282,6 @@ func (fc *fnc) branchIf(depth int) {
 	fc.bind(skip)
 }
 
-func (fc *fnc) compileSelect() {
-	condTop := &fc.vstack[len(fc.vstack)-1]
-	var cond x86.Cond
-	if condTop.kind == lFlags {
-		cond = x86.Cond(condTop.imm)
-		fc.pop()
-	} else {
-		r, _ := fc.popReg(false)
-		fc.emit(x86.Inst{Op: x86.TEST, W: x86.W32, Dst: x86.R(r), Src: x86.R(r)})
-		cond = x86.CondNE
-	}
-	n := len(fc.vstack)
-	if fc.vstack[n-1].typ == ir.F64 {
-		// Branchy f64 select.
-		fc.ensureXmm(n-1, false)
-		a := fc.ensureXmm(n-2, true)
-		b := fc.ensureXmm(n-1, false)
-		fc.vstack = fc.vstack[:n-2]
-		skip := fc.newLabel()
-		fc.jcc(cond, skip)
-		fc.emit(x86.Inst{Op: x86.MOVSD, Dst: x86.X(a), Src: x86.X(b)})
-		fc.bind(skip)
-		fc.push(loc{kind: lXmm, typ: ir.F64, xmm: a})
-		return
-	}
-	fc.ensureReg(n-1, false)
-	a := fc.ensureReg(n-2, true)
-	b := fc.ensureReg(n-1, false)
-	t := fc.vstack[n-2].typ
-	fc.vstack = fc.vstack[:n-2]
-	// cmov: keep a when cond holds, take b otherwise.
-	fc.emit(x86.Inst{Op: x86.CMOV, W: x86.W64, Cond: cond.Negate(), Dst: x86.R(a), Src: x86.R(b)})
-	fc.pushReg(a, t)
-}
-
 // compileCall lowers a direct call (import or defined function).
 func (fc *fnc) compileCall(irIdx uint32) error {
 	sig, err := fc.m.TypeOf(irIdx)
@@ -451,7 +378,7 @@ func (fc *fnc) pushCallResult(sig ir.FuncType) {
 	fc.pushReg(x86.RAX, sig.Results[0])
 }
 
-// compileBuiltin lowers memory.grow/copy/fill to a builtin host call.
+// compileBuiltin lowers memory.grow/fill to a builtin host call.
 func (fc *fnc) compileBuiltin(b int, args int, hasResult bool) error {
 	params := make([]ir.ValType, args)
 	for i := range params {
@@ -467,5 +394,3 @@ func (fc *fnc) compileBuiltin(b int, args int, hasResult bool) error {
 	fc.pushCallResult(sig)
 	return nil
 }
-
-var _ = math.MaxInt32

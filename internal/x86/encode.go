@@ -26,31 +26,25 @@ type opEnc struct {
 	fixedLen int  // when non-zero, total length ignores operands (pseudo/fixed ops)
 }
 
-var opEncTable = map[Op]opEnc{
-	NOP:   {opBytes: 1},
+var opEncTable = [opCount]opEnc{
 	MOV:   {opBytes: 1, modRM: true},
 	MOVZX: {opBytes: 2, modRM: true},
 	MOVSX: {opBytes: 2, modRM: true},
 	LEA:   {opBytes: 1, modRM: true},
-	XCHG:  {opBytes: 1, modRM: true},
-	CMOV:  {opBytes: 2, modRM: true},
 	PUSH:  {opBytes: 1},
 	POP:   {opBytes: 1},
 
 	ADD: {opBytes: 1, modRM: true}, SUB: {opBytes: 1, modRM: true},
-	IMUL: {opBytes: 2, modRM: true}, MULX: {opBytes: 3, modRM: true},
-	AND: {opBytes: 1, modRM: true}, OR: {opBytes: 1, modRM: true},
-	XOR: {opBytes: 1, modRM: true}, NOT: {opBytes: 1, modRM: true},
-	NEG: {opBytes: 1, modRM: true}, SHL: {opBytes: 1, modRM: true},
+	IMUL: {opBytes: 2, modRM: true},
+	AND:  {opBytes: 1, modRM: true}, OR: {opBytes: 1, modRM: true},
+	XOR: {opBytes: 1, modRM: true}, SHL: {opBytes: 1, modRM: true},
 	SHR: {opBytes: 1, modRM: true}, SAR: {opBytes: 1, modRM: true},
-	ROL: {opBytes: 1, modRM: true}, ROR: {opBytes: 1, modRM: true},
+	ROL: {opBytes: 1, modRM: true},
 	CMP: {opBytes: 1, modRM: true}, TEST: {opBytes: 1, modRM: true},
 	SETCC: {opBytes: 2, modRM: true},
 	CQO:   {fixedLen: 2},
 	IDIV:  {opBytes: 1, modRM: true}, DIV: {opBytes: 1, modRM: true},
 	POPCNT: {opBytes: 2, mandPfx: 0xF3, modRM: true},
-	LZCNT:  {opBytes: 2, mandPfx: 0xF3, modRM: true},
-	TZCNT:  {opBytes: 2, mandPfx: 0xF3, modRM: true},
 
 	JMP:      {opBytes: 1},  // rel8: 2 bytes, rel32: 5 bytes
 	JCC:      {opBytes: 2},  // rel8: 2 bytes, rel32: 6 bytes
@@ -58,36 +52,25 @@ var opEncTable = map[Op]opEnc{
 	CALLREG:  {opBytes: 1, modRM: true},
 	CALLHOST: {fixedLen: 6}, // call [rip+disp32] through the vmctx
 	RET:      {fixedLen: 1},
-	UD2:      {fixedLen: 2},
 	TRAPIF:   {fixedLen: 6},  // jcc rel32 to the function's trap stub
 	EPOCH:    {fixedLen: 10}, // cmp [vmctx+epoch], reg ; jae deadline
 	JTAB:     {fixedLen: 12}, // cmp+jae default; jmp [table+idx*8]
-
-	WRGSBASE: {fixedLen: 5}, RDGSBASE: {fixedLen: 5}, WRFSBASE: {fixedLen: 5},
-	WRPKRU: {fixedLen: 3}, RDPKRU: {fixedLen: 3},
 
 	ENDBR:     {fixedLen: 4}, // f3 0f 1e fa
 	BTBFLUSH:  {fixedLen: 8}, // wrmsr-based indirect-predictor barrier stub
 	INTERLOCK: {fixedLen: 4}, // cmov/lfence-style masking of a loaded value
 
-	MOVSD:     {opBytes: 2, mandPfx: 0xF2, modRM: true},
-	MINSD:     {opBytes: 2, mandPfx: 0xF2, modRM: true},
-	MAXSD:     {opBytes: 2, mandPfx: 0xF2, modRM: true},
-	NEGSD:     {fixedLen: 8}, // xorpd xmm, [rip+const]
-	ABSSD:     {fixedLen: 8}, // andpd xmm, [rip+const]
-	ADDSD:     {opBytes: 2, mandPfx: 0xF2, modRM: true},
-	SUBSD:     {opBytes: 2, mandPfx: 0xF2, modRM: true},
-	MULSD:     {opBytes: 2, mandPfx: 0xF2, modRM: true},
-	DIVSD:     {opBytes: 2, mandPfx: 0xF2, modRM: true},
-	SQRTSD:    {opBytes: 2, mandPfx: 0xF2, modRM: true},
-	UCOMISD:   {opBytes: 2, mandPfx: 0x66, modRM: true},
-	CVTSI2SD:  {opBytes: 2, mandPfx: 0xF2, modRM: true},
-	CVTTSD2SI: {opBytes: 2, mandPfx: 0xF2, modRM: true},
-	MOVQXR:    {opBytes: 2, mandPfx: 0x66, modRM: true},
-	MOVQRX:    {opBytes: 2, mandPfx: 0x66, modRM: true},
+	MOVSD:    {opBytes: 2, mandPfx: 0xF2, modRM: true},
+	MINSD:    {opBytes: 2, mandPfx: 0xF2, modRM: true},
+	ABSSD:    {fixedLen: 8}, // andpd xmm, [rip+const]
+	ADDSD:    {opBytes: 2, mandPfx: 0xF2, modRM: true},
+	MULSD:    {opBytes: 2, mandPfx: 0xF2, modRM: true},
+	DIVSD:    {opBytes: 2, mandPfx: 0xF2, modRM: true},
+	CVTSI2SD: {opBytes: 2, mandPfx: 0xF2, modRM: true},
+	MOVQXR:   {opBytes: 2, mandPfx: 0x66, modRM: true},
+	MOVQRX:   {opBytes: 2, mandPfx: 0x66, modRM: true},
 
 	MOVDQU: {opBytes: 2, mandPfx: 0xF3, modRM: true},
-	PADDD:  {opBytes: 2, mandPfx: 0x66, modRM: true},
 	PXOR:   {opBytes: 2, mandPfx: 0x66, modRM: true},
 }
 
@@ -124,7 +107,7 @@ func needsREX(i Inst) bool {
 		// Most 64-bit-width ALU/data ops need REX.W. (Push/pop and
 		// branches default to 64-bit operation in long mode.)
 		switch i.Op {
-		case MOVSD, ADDSD, SUBSD, MULSD, DIVSD, SQRTSD, UCOMISD, MOVDQU, PADDD, PXOR:
+		case MOVSD, ADDSD, MULSD, DIVSD, MOVDQU, PXOR:
 			// SSE ops encode width in the opcode, not REX.W.
 		default:
 			return true
@@ -164,7 +147,7 @@ func immSize(i Inst) int {
 	}
 	v := i.Src.Imm
 	switch i.Op {
-	case SHL, SHR, SAR, ROL, ROR:
+	case SHL, SHR, SAR, ROL:
 		return 1
 	case PUSH:
 		if v >= -128 && v <= 127 {
@@ -192,10 +175,10 @@ func immSize(i Inst) int {
 // Branch lengths depend on layout; use EncodeFunc for functions that
 // contain branches (it handles the rel8/rel32 shrink pass).
 func Len(i Inst) int {
-	enc, ok := opEncTable[i.Op]
-	if !ok {
+	if i.Op >= opCount {
 		return 1
 	}
+	enc := opEncTable[i.Op]
 	if enc.fixedLen != 0 {
 		return enc.fixedLen
 	}

@@ -8,38 +8,32 @@ import (
 // Op is an instruction opcode in the modeled subset.
 type Op uint16
 
-// Opcodes. The integer/control subset follows hardware semantics closely;
-// a few pseudo-ops (CALLFN, CALLHOST, CALLREG, EPOCH, TRAPIF) stand for
-// short fixed sequences that real engines emit as glue — each documents
-// the byte length and cycle cost it stands for in the encoder/emulator.
+// Opcodes: the instructions the SFI compilers emit, as the op census
+// test in internal/exp measures them. The integer/control subset follows
+// hardware semantics closely; a few pseudo-ops (CALLFN, CALLHOST,
+// CALLREG, EPOCH, TRAPIF, JTAB) stand for short fixed sequences that
+// real engines emit as glue — each documents the byte length and cycle
+// cost it stands for in the encoder/emulator.
 const (
-	NOP Op = iota
-
 	// Data movement.
-	MOV   // mov dst, src (reg/mem/imm); 32-bit form zero-extends
-	MOVZX // mov with zero extension from a narrower source width
-	MOVSX // mov with sign extension from a narrower source width
-	LEA   // load effective address (address arithmetic, no memory access)
-	XCHG  // exchange reg, reg
-	CMOV  // conditional move (Cond field)
-	PUSH  // push reg
-	POP   // pop reg
+	MOV   Op = iota // mov dst, src (reg/mem/imm); 32-bit form zero-extends
+	MOVZX           // mov with zero extension from a narrower source width
+	MOVSX           // mov with sign extension from a narrower source width
+	LEA             // load effective address (address arithmetic, no memory access)
+	PUSH            // push reg
+	POP             // pop reg
 
 	// Integer ALU.
 	ADD
 	SUB
 	IMUL // two-operand signed multiply
-	MULX // unsigned widening multiply helper (dst = low 64 of dst*src)
 	AND
 	OR
 	XOR
-	NOT
-	NEG
 	SHL
 	SHR
 	SAR
 	ROL
-	ROR
 	CMP
 	TEST
 	SETCC  // set byte on condition
@@ -47,8 +41,6 @@ const (
 	IDIV   // signed divide rdx:rax by operand
 	DIV    // unsigned divide rdx:rax by operand
 	POPCNT // population count
-	LZCNT  // leading-zero count
-	TZCNT  // trailing-zero count
 
 	// Control flow.
 	JMP      // unconditional jump to label
@@ -57,39 +49,24 @@ const (
 	CALLREG  // pseudo: indirect call, callee function index in register
 	CALLHOST // pseudo: call into the host runtime (Imm = host func index)
 	RET
-	UD2    // undefined instruction: deterministic trap
 	TRAPIF // pseudo: conditional trap (bounds-check failure path), Cond field
 	EPOCH  // pseudo: epoch-interruption check at loop back-edges
 	JTAB   // pseudo: bounds-checked jump table; Dst = index register,
 	// Src.Label = default target, Targets = per-index targets
 
-	// Segment and protection-key state.
-	WRGSBASE // write GS base from register (FSGSBASE extension)
-	RDGSBASE // read GS base into register
-	WRFSBASE // write FS base from register
-	WRPKRU   // write PKRU from eax (ecx=edx=0)
-	RDPKRU   // read PKRU into eax
-
 	// Scalar double-precision SSE.
 	MOVSD // move f64 between xmm and memory/xmm
 	ADDSD
-	SUBSD
 	MULSD
 	DIVSD
-	SQRTSD
 	MINSD
-	MAXSD
-	NEGSD     // stands for xorpd with a RIP-relative sign-bit constant
-	ABSSD     // stands for andpd with a RIP-relative mask constant
-	UCOMISD   // f64 compare, sets flags
-	CVTSI2SD  // int64 -> f64
-	CVTTSD2SI // f64 -> int64 (truncating)
-	MOVQXR    // move raw 64 bits xmm -> gpr
-	MOVQRX    // move raw 64 bits gpr -> xmm
+	ABSSD    // stands for andpd with a RIP-relative mask constant
+	CVTSI2SD // int64 -> f64
+	MOVQXR   // move raw 64 bits xmm -> gpr
+	MOVQRX   // move raw 64 bits gpr -> xmm
 
-	// 128-bit vector moves and ALU (vectorizer output).
+	// 128-bit vector moves (vectorizer output).
 	MOVDQU // unaligned 128-bit load/store
-	PADDD  // packed 32-bit add
 	PXOR   // packed xor
 
 	// Spectre-hardening pseudo-ops (Swivel-style). Architecturally inert:
@@ -105,32 +82,23 @@ const (
 // OpCount is the number of defined opcodes, for dense per-op tables.
 const OpCount = int(opCount)
 
-var opNames = map[Op]string{
-	NOP: "nop", MOV: "mov", MOVZX: "movzx", MOVSX: "movsx", LEA: "lea",
-	XCHG: "xchg", CMOV: "cmov", PUSH: "push", POP: "pop",
-	ADD: "add", SUB: "sub", IMUL: "imul", MULX: "mulx", AND: "and",
-	OR: "or", XOR: "xor", NOT: "not", NEG: "neg", SHL: "shl", SHR: "shr",
-	SAR: "sar", ROL: "rol", ROR: "ror", CMP: "cmp", TEST: "test",
-	SETCC: "set", CQO: "cqo", IDIV: "idiv", DIV: "div",
-	POPCNT: "popcnt", LZCNT: "lzcnt", TZCNT: "tzcnt",
+var opNames = [opCount]string{
+	MOV: "mov", MOVZX: "movzx", MOVSX: "movsx", LEA: "lea", PUSH: "push", POP: "pop",
+	ADD: "add", SUB: "sub", IMUL: "imul", AND: "and", OR: "or", XOR: "xor",
+	SHL: "shl", SHR: "shr", SAR: "sar", ROL: "rol", CMP: "cmp", TEST: "test",
+	SETCC: "set", CQO: "cqo", IDIV: "idiv", DIV: "div", POPCNT: "popcnt",
 	JMP: "jmp", JCC: "j", CALLFN: "call", CALLREG: "call", CALLHOST: "call.host",
-	RET: "ret", UD2: "ud2", TRAPIF: "trapif", EPOCH: "epoch.check",
-	WRGSBASE: "wrgsbase", RDGSBASE: "rdgsbase", WRFSBASE: "wrfsbase",
-	WRPKRU: "wrpkru", RDPKRU: "rdpkru",
-	JTAB:  "jmp.table",
-	MOVSD: "movsd", ADDSD: "addsd", SUBSD: "subsd", MULSD: "mulsd",
-	DIVSD: "divsd", SQRTSD: "sqrtsd", MINSD: "minsd", MAXSD: "maxsd",
-	NEGSD: "negsd", ABSSD: "abssd", UCOMISD: "ucomisd",
-	CVTSI2SD: "cvtsi2sd", CVTTSD2SI: "cvttsd2si",
-	MOVQXR: "movq", MOVQRX: "movq",
-	MOVDQU: "movdqu", PADDD: "paddd", PXOR: "pxor",
+	RET: "ret", TRAPIF: "trapif", EPOCH: "epoch.check", JTAB: "jmp.table",
+	MOVSD: "movsd", ADDSD: "addsd", MULSD: "mulsd", DIVSD: "divsd", MINSD: "minsd",
+	ABSSD: "abssd", CVTSI2SD: "cvtsi2sd", MOVQXR: "movq", MOVQRX: "movq",
+	MOVDQU: "movdqu", PXOR: "pxor",
 	ENDBR: "endbr64", BTBFLUSH: "btb.flush", INTERLOCK: "interlock",
 }
 
 // String returns the Intel-syntax mnemonic.
 func (o Op) String() string {
-	if s, ok := opNames[o]; ok {
-		return s
+	if o < opCount {
+		return opNames[o]
 	}
 	return fmt.Sprintf("op%d", uint16(o))
 }
@@ -287,8 +255,6 @@ func (i Inst) String() string {
 		mn = "j" + i.Cond.String()
 	case SETCC:
 		mn = "set" + i.Cond.String()
-	case CMOV:
-		mn = "cmov" + i.Cond.String()
 	case TRAPIF:
 		mn = "trapif." + i.Cond.String()
 	}

@@ -132,7 +132,7 @@ const (
 	W128 Width = 16
 )
 
-// Cond is a condition code for Jcc/SETcc/CMOVcc, named by the signed
+// Cond is a condition code for Jcc/SETcc/TRAPIF, named by the signed
 // and unsigned comparison it implements.
 type Cond uint8
 

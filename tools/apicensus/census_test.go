@@ -12,8 +12,9 @@ import (
 // nested in it, the way bench/ sits in the repository. Of a test-only
 // function, a method called only through fmt.Stringer, and a function
 // only the second module calls, it must report exactly the first. The
-// allow-list then passes a covered report, and fails an uncovered one
-// and an entry that covers nothing.
+// allow-list then passes a covered report, and fails an uncovered one,
+// an entry that covers nothing, an entry without a reason and a
+// wildcard entry.
 func TestCensusFixture(t *testing.T) {
 	hits, err := census([]string{"testdata/mod", "testdata/mod/bench"})
 	if err != nil {
@@ -31,7 +32,7 @@ func TestCensusFixture(t *testing.T) {
 		allow, fail string // fail is a substring of the error, "" for none
 	}{
 		{"fixture/a.TestOnly # test oracle\n", ""},
-		{"fixture/a.* # whole package\n", ""},
+		{"fixture/a.* # whole package\n", "fixture/a.* is a wildcard"},
 		{"", "fixture/a.TestOnly has no non-test use"},
 		{"fixture/a.TestOnly # test oracle\nfixture/a.Gone # deleted\n", "fixture/a.Gone covers no reported name"},
 		{"fixture/a.TestOnly\n", "want \"name # reason\""},

@@ -16,9 +16,10 @@
 //	go run ./tools/apicensus
 //
 // It runs from the repository root and reads tools/apicensus/allow.txt.
-// Each allow-list line is a name as the census prints it, or a prefix
-// ending in ".*", then "#" and the reason; blank lines and lines starting
-// with "#" are comments.
+// Each allow-list line is one name as the census prints it, then "#" and
+// the reason; blank lines and lines starting with "#" are comments. A
+// name with a "*" in it is refused, so no entry can hide more than the
+// one object it names.
 package main
 
 import (
@@ -65,7 +66,7 @@ func check(hits []hit, allowFile string) error {
 	for _, h := range hits {
 		ok := false
 		for i, a := range allow {
-			if a == h.name || strings.HasSuffix(a, ".*") && strings.HasPrefix(h.name, a[:len(a)-1]) {
+			if a == h.name {
 				ok, used[i] = true, true
 			}
 		}
@@ -84,7 +85,7 @@ func check(hits []hit, allowFile string) error {
 	return nil
 }
 
-// readAllow returns the names and prefixes of an allow-list file.
+// readAllow returns the names of an allow-list file.
 func readAllow(file string) ([]string, error) {
 	f, err := os.Open(file)
 	if err != nil {
@@ -101,6 +102,9 @@ func readAllow(file string) ([]string, error) {
 		name, reason, _ := strings.Cut(line, "#")
 		if name = strings.TrimSpace(name); strings.TrimSpace(reason) == "" || strings.ContainsAny(name, " \t") {
 			return nil, fmt.Errorf("%s:%d: want \"name # reason\"", file, n)
+		}
+		if strings.Contains(name, "*") {
+			return nil, fmt.Errorf("%s:%d: %s is a wildcard; list each name on its own line", file, n, name)
 		}
 		allow = append(allow, name)
 	}

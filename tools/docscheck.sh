@@ -10,8 +10,9 @@
 #    under examples/.
 # 5. Deleted names stay out of the docs: the legacy perf record, the
 #    slot allocators the isolation slab's table replaced, the fused
-#    tier's profile pass and fusion switches, the MTE tag store, and the
-#    exported names the API census removed.
+#    tier's profile pass and fusion switches, the MTE tag store, the
+#    exported names the API census removed, and the builder methods and
+#    mnemonics the op census removed.
 # 6. The API census passes: every exported name has a non-test use or
 #    an allow-list entry with its reason (tools/apicensus).
 #
@@ -152,6 +153,12 @@ fi
 if grep -rnE 'sfi\.MustCompile|FuncByName|Resumable\(|RemoveWorker|Ring\.(Members|Remove)\b|Policy\.Forget|Server\.Draining|MemRead\(|HasMem\(|MemOperand\(|Machine\.(Running|ResultF)\b|stats\.(Stddev|Min|Max|Mean)\b|Span\.(Get|Total|Durations)\b|Snapshot\.Text|AS\.(Bits|Size|VMAs)\b|Rates\.Rate\b|Supervisor\.Kill|TLB\.Flushes|Mix\.Names|Instance\.(Slot|Scheme|Backend)\(' \
     README.md EXPERIMENTS.md DESIGN.md ARCHITECTURE.md docs/ .claude/ >&2; then
     err "docs mention an exported name the API census deleted (lines above)"
+fi
+# The instruction surface is what the op census test measures; the
+# builder methods and mnemonics it deleted stay out of the docs.
+if grep -rnE 'MemCopy|\bGGet\b|\bGSet\b|V128Load|PADDD|WRFSBASE|RDGSBASE|FusedBlocks' \
+    README.md EXPERIMENTS.md DESIGN.md ARCHITECTURE.md docs/ .claude/ >&2; then
+    err "docs mention a builder method or mnemonic the op census deleted (lines above)"
 fi
 
 # --- 6. API census --------------------------------------------------------
